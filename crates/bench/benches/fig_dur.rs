@@ -73,16 +73,24 @@ fn main() {
     let mut t = FigureTable::new(
         "Durability: endorsed-log write tax, group commit amortization, \
          and recovery (tail replay vs sealed snapshot)",
-        &["cell", "ops", "p50 us", "p95 us", "ops/s", "fsyncs", "batch avg"],
+        &[
+            "cell",
+            "ops",
+            "p50 us",
+            "p95 us",
+            "ops/s",
+            "fsyncs",
+            "batch avg",
+        ],
     );
     let mut summaries: Vec<OpSummary> = Vec::new();
     let cell = |t: &mut FigureTable,
-                    summaries: &mut Vec<OpSummary>,
-                    name: &str,
-                    samples: &[f64],
-                    wall: f64,
-                    fsyncs: u64,
-                    batch_avg: f64| {
+                summaries: &mut Vec<OpSummary>,
+                name: &str,
+                samples: &[f64],
+                wall: f64,
+                fsyncs: u64,
+                batch_avg: f64| {
         let s = summarize(name, samples, wall, samples.len());
         t.row(vec![
             name.to_owned(),
@@ -103,7 +111,8 @@ fn main() {
     // --- Ephemeral baseline. ---
     {
         let db = VeriDb::open(config(None, 0)).unwrap();
-        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)").unwrap();
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+            .unwrap();
         let wall = Instant::now();
         let samples = insert_rows(&db, 0, rows);
         cell(
@@ -121,7 +130,8 @@ fn main() {
     let sync_dir = tmpdir("sync");
     {
         let db = VeriDb::open(config(Some(&sync_dir), 0)).unwrap();
-        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)").unwrap();
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+            .unwrap();
         let wall = Instant::now();
         let samples = insert_rows(&db, 0, rows);
         let fsyncs = counter(&db, "log.fsync_us.count");
@@ -143,7 +153,8 @@ fn main() {
         const WRITERS: usize = 4;
         let dir = tmpdir("group");
         let db = VeriDb::open(config(Some(&dir), 200)).unwrap();
-        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)").unwrap();
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+            .unwrap();
         let per = rows / WRITERS;
         let barrier = Barrier::new(WRITERS);
         let wall = Instant::now();
@@ -214,7 +225,15 @@ fn main() {
         let start = Instant::now();
         sealed_db.seal_now().unwrap();
         let seal = start.elapsed().as_secs_f64();
-        cell(&mut t, &mut summaries, "seal/snapshot", &[seal], seal, 0, 0.0);
+        cell(
+            &mut t,
+            &mut summaries,
+            "seal/snapshot",
+            &[seal],
+            seal,
+            0,
+            0.0,
+        );
         drop(sealed_db);
         let start = Instant::now();
         let db = VeriDb::open(config(Some(&sync_dir), 0)).unwrap();

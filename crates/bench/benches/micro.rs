@@ -21,7 +21,7 @@ use veridb_bench::{f1, percentile, time_once, FigureTable};
 use veridb_common::{ColumnDef, ColumnType, PrfBackend, Row, Schema, Value, VeriDbConfig};
 use veridb_enclave::Enclave;
 use veridb_storage::{ChainIndex, ChainKey, IndexOracle, Table};
-use veridb_wrcm::{CellAddr, MemConfig, PrfEngine, ReadBatch, VerifiedMemory};
+use veridb_wrcm::{CellAddr, PrfEngine, ReadBatch, VerifiedMemory};
 
 /// Timed samples per benchmark.
 const SAMPLES: usize = 100;
@@ -82,12 +82,10 @@ impl Group {
 
 fn memory(verify: bool, prf: PrfBackend, compact_lazy: bool) -> Arc<VerifiedMemory> {
     let enclave = Enclave::create_random("bench", 1 << 26);
-    let cfg = VeriDbConfig::default();
     VerifiedMemory::new(
         enclave,
-        MemConfig {
-            page_size: cfg.page_size,
-            partitions: 16,
+        &VeriDbConfig {
+            rsws_partitions: 16,
             verify_rsws: verify,
             verify_metadata: false,
             verify_every_ops: None,
@@ -95,6 +93,7 @@ fn memory(verify: bool, prf: PrfBackend, compact_lazy: bool) -> Arc<VerifiedMemo
             compact_during_verification: compact_lazy,
             prf,
             workers: 1,
+            ..VeriDbConfig::default()
         },
     )
 }
@@ -256,7 +255,7 @@ fn bench_scan() {
             10,
             SCAN_CELLS,
             || {
-                mem.read_page_batch(page, &slots, &mut batch).unwrap();
+                mem.read_page_batch(page, &slots, &mut batch, None).unwrap();
                 assert_eq!(batch.len(), SCAN_CELLS);
             },
         );

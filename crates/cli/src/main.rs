@@ -106,7 +106,7 @@ fn main() {
         config.replica_of = Some(p);
     }
     // Unless overridden, synchronous verification uses the same pool size
-    // as query execution (the MemConfig knob); `--verify-threads` decouples
+    // as query execution (`VeriDbConfig::workers`); `--verify-threads` decouples
     // the two.
     let verify_threads = verify_threads.unwrap_or(config.workers).max(1);
     match positional.first().map(String::as_str) {
@@ -314,7 +314,12 @@ fn cmd_serve(listen: Option<String>, config: VeriDbConfig) -> i32 {
     };
     let db = std::sync::Arc::new(db);
     let runner = db.config().replica_of.clone().map(|primary| {
-        veridb_net::ReplicaRunner::spawn(std::sync::Arc::clone(&db), &primary, "veridb", net_timeout)
+        veridb_net::ReplicaRunner::spawn(
+            std::sync::Arc::clone(&db),
+            &primary,
+            "veridb",
+            net_timeout,
+        )
     });
     let mut server = match veridb_net::serve(std::sync::Arc::clone(&db), &addr) {
         Ok(s) => s,

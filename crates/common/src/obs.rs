@@ -123,9 +123,7 @@ registry! {
     ProtectedWrites: Counter, One, "wrcm.protected_writes", "Protected overwrites.";
     ProtectedInserts: Counter, One, "wrcm.protected_inserts", "Protected inserts.";
     ProtectedDeletes: Counter, One, "wrcm.protected_deletes", "Protected deletes.";
-    ProtectedMoves: Counter, One, "wrcm.protected_moves", "Protected cross-page moves.";
     BatchedReadCells: Counter, One, "wrcm.batched_read_cells", "Cells served by batched protected reads.";
-    BatchedWriteCells: Counter, One, "wrcm.batched_write_cells", "Cells written by batched protected writes.";
     SingletonElements: Counter, One, "wrcm.singleton_elements", "Per-cell elements consumed into h(RS).";
     GroupElements: Counter, One, "wrcm.group_elements", "Coalesced scan-group elements consumed into h(RS).";
     GroupsFormed: Counter, One, "wrcm.groups_formed", "Scan groups formed by batched reads.";

@@ -121,7 +121,7 @@ impl VeriDb {
             });
         }
         let enclave = Enclave::create(identity, config.epc_budget, entropy);
-        let mem = VerifiedMemory::from_config(enclave.clone(), &config);
+        let mem = VerifiedMemory::new(enclave.clone(), &config);
         let catalog = Arc::new(Catalog::new(Arc::clone(&mem)));
         let engine = Arc::new(QueryEngine::new(catalog));
         engine.set_workers(config.workers);

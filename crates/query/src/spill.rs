@@ -197,7 +197,7 @@ mod tests {
         let mut cfg = VeriDbConfig::default();
         cfg.verify_every_ops = None;
         cfg.prf = PrfBackend::SipHash;
-        VerifiedMemory::from_config(enclave, &cfg)
+        VerifiedMemory::new(enclave, &cfg)
     }
 
     fn row(i: i64) -> Row {

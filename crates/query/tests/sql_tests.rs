@@ -13,7 +13,7 @@ fn setup() -> (Arc<VerifiedMemory>, Arc<QueryEngine>) {
     let enclave = Enclave::create("sql-test", 1 << 24, [9u8; 32]);
     let mut cfg = VeriDbConfig::default();
     cfg.verify_every_ops = None;
-    let mem = VerifiedMemory::from_config(enclave, &cfg);
+    let mem = VerifiedMemory::new(enclave, &cfg);
     let catalog = Arc::new(Catalog::new(Arc::clone(&mem)));
     (mem, Arc::new(QueryEngine::new(catalog)))
 }

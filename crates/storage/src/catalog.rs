@@ -115,7 +115,7 @@ mod tests {
 
     fn catalog() -> Catalog {
         let enclave = Enclave::create("catalog-test", 1 << 22, [5u8; 32]);
-        let mem = VerifiedMemory::from_config(enclave, &VeriDbConfig::default());
+        let mem = VerifiedMemory::new(enclave, &VeriDbConfig::default());
         Catalog::new(mem)
     }
 

@@ -283,7 +283,7 @@ impl VerifiedScan {
             let slots: Vec<SlotId> = idxs.iter().map(|&i| cands[i].1.slot).collect();
             let delta = self.delta.get_or_insert_with(|| mem.delta_handle());
             if mem
-                .read_page_batch_delta(*page, &slots, &mut self.scratch, delta)
+                .read_page_batch(*page, &slots, &mut self.scratch, Some(delta))
                 .is_err()
             {
                 continue; // stale page hint: those candidates stay None

@@ -73,7 +73,7 @@ fn table_matches_model() {
         let mut cfg = VeriDbConfig::default();
         cfg.verify_every_ops = None;
         cfg.page_size = 1024; // force page churn
-        let mem = VerifiedMemory::from_config(enclave, &cfg);
+        let mem = VerifiedMemory::new(enclave, &cfg);
         let table = Table::create(Arc::clone(&mem), "model", schema()).unwrap();
 
         // model: pk -> grp

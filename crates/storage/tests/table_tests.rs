@@ -14,7 +14,7 @@ fn memory() -> Arc<VerifiedMemory> {
     let enclave = Enclave::create("table-test", 1 << 22, [6u8; 32]);
     let mut cfg = VeriDbConfig::default();
     cfg.verify_every_ops = None; // verification driven manually in tests
-    VerifiedMemory::from_config(enclave, &cfg)
+    VerifiedMemory::new(enclave, &cfg)
 }
 
 fn int(v: i64) -> Value {

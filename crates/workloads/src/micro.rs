@@ -234,7 +234,7 @@ mod tests {
         let enclave = Enclave::create("micro-test", 1 << 22, [11u8; 32]);
         let mut cfg = VeriDbConfig::default();
         cfg.verify_every_ops = None;
-        let mem = VerifiedMemory::from_config(enclave, &cfg);
+        let mem = VerifiedMemory::new(enclave, &cfg);
         let table = Table::create(Arc::clone(&mem), "kv", MicroWorkload::schema()).unwrap();
         w.load_table(&table).unwrap();
         assert_eq!(table.row_count(), 50);

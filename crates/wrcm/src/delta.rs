@@ -1,4 +1,11 @@
-//! Thread-local digest deltas and per-worker timestamp blocks.
+//! Digest contributions, thread-local digest deltas and per-worker
+//! timestamp blocks.
+//!
+//! Every protected op tags its elements under the page lock into one
+//! `DeltaBucket` (the PRF images destined for `h(RS)`/`h(WS)` and
+//! their metadata twins, pre-combined by XOR, plus what they cost) and
+//! commits it once, either under the partition mutex or into the
+//! worker's `DeltaSlot`.
 //!
 //! The RS/WS digests are XOR-folds, which commute and associate: the
 //! multiset equality `h(RS) = h(WS)` that Algorithm 2 checks is
@@ -31,15 +38,33 @@
 //! timestamps are never folded into any digest and never re-issued.
 
 use crate::digest::SetDigest;
+use crate::memory::CellAddr;
+use crate::page::{RawPage, SlotId};
+use crate::prf::{PrfEngine, KIND_DATA, KIND_META};
 use crate::rsws::PartitionState;
 use veridb_common::obs::{Metric, Metrics};
 use veridb_common::sync::Mutex;
+use veridb_common::Result;
 use veridb_enclave::Enclave;
 
 /// Timestamps drawn from the global counter per block refill.
 pub(crate) const TS_BLOCK: u64 = 1024;
 
-/// Private RS/WS accumulators for one `(partition, scan_epoch)` key.
+/// PRF image of the `kind` element at `(page, slot)`: `data` stamped `ts`.
+pub(crate) fn tag(
+    prf: &PrfEngine,
+    page: u64,
+    slot: SlotId,
+    kind: u8,
+    data: &[u8],
+    ts: u64,
+) -> SetDigest {
+    prf.tag(CellAddr { page, slot }.proto(), kind, data, ts)
+}
+
+/// The digest contribution of protected ops, pre-combined under the page
+/// lock: every op builds one and hands it to `VerifiedMemory::commit`,
+/// and a [`DeltaSlot`] keeps one per `(partition, scan_epoch)` key.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct DeltaBucket {
     /// XOR accumulator destined for the partition's `h(RS)`.
@@ -52,6 +77,110 @@ pub(crate) struct DeltaBucket {
     pub meta_ws: SetDigest,
     /// Protected ops folded here (feeds `ops_since_close` on merge).
     pub ops: u64,
+    /// PRF evaluations behind the four digests.
+    pub prf_evals: u64,
+    /// Per-cell elements consumed into `rs`.
+    pub singletons: u64,
+    /// Scan-group elements consumed into `rs`.
+    pub groups: u64,
+}
+
+impl DeltaBucket {
+    /// An empty contribution of `ops` protected ops.
+    pub fn new(ops: u64) -> Self {
+        DeltaBucket {
+            ops,
+            ..Self::default()
+        }
+    }
+
+    /// Consume the per-cell element `(page, slot)` = `data` stamped `ts`.
+    pub fn consume(&mut self, prf: &PrfEngine, page: u64, slot: SlotId, data: &[u8], ts: u64) {
+        self.rs.fold(&tag(prf, page, slot, KIND_DATA, data, ts));
+        self.prf_evals += 1;
+        self.singletons += 1;
+    }
+
+    /// Insert the per-cell element `(page, slot)` = `data` stamped `ts`.
+    pub fn produce(&mut self, prf: &PrfEngine, page: u64, slot: SlotId, data: &[u8], ts: u64) {
+        self.ws.fold(&tag(prf, page, slot, KIND_DATA, data, ts));
+        self.prf_evals += 1;
+    }
+
+    /// Consume a scan-group element, given its PRF image.
+    pub fn consume_group(&mut self, image: &SetDigest) {
+        self.rs.fold(image);
+        self.prf_evals += 1;
+        self.groups += 1;
+    }
+
+    /// Insert a scan-group element, given its PRF image.
+    pub fn produce_group(&mut self, image: &SetDigest) {
+        self.ws.fold(image);
+        self.prf_evals += 1;
+    }
+
+    /// Re-stamp `slots` of `page` with consecutive timestamps from `ts`,
+    /// inserting each cell's new element. With `consume`, each cell's
+    /// outstanding per-cell element is consumed first; without, it was
+    /// part of a scan group the caller consumed.
+    pub fn restamp(
+        &mut self,
+        prf: &PrfEngine,
+        page: &mut RawPage,
+        page_id: u64,
+        slots: &[SlotId],
+        ts: u64,
+        consume: bool,
+    ) -> Result<()> {
+        for (&slot, ts_new) in slots.iter().zip(ts..) {
+            let (data, ts_old) = page.read(slot)?;
+            if consume {
+                self.consume(prf, page_id, slot, data, ts_old);
+            }
+            self.produce(prf, page_id, slot, data, ts_new);
+            page.set_ts(slot, ts_new)?;
+        }
+        Ok(())
+    }
+
+    /// One slot-directory transition (Algorithm 3's metadata cells):
+    /// consume `slot`'s previous entry `old` under its current metadata
+    /// timestamp (`None`: the slot had no entry), then insert the entry
+    /// the page holds now, stamped `ts`.
+    pub fn meta(
+        &mut self,
+        prf: &PrfEngine,
+        page: &mut RawPage,
+        page_id: u64,
+        slot: SlotId,
+        old: Option<[u8; 4]>,
+        ts: u64,
+    ) {
+        if let Some(old) = old {
+            let ts_old = page.meta_ts(slot);
+            self.meta_rs
+                .fold(&tag(prf, page_id, slot, KIND_META, &old, ts_old));
+            self.prf_evals += 1;
+        }
+        let new = page.slot_entry_bytes(slot);
+        self.meta_ws
+            .fold(&tag(prf, page_id, slot, KIND_META, &new, ts));
+        self.prf_evals += 1;
+        page.set_meta_ts(slot, ts);
+    }
+
+    /// Add another contribution to this one.
+    fn merge(&mut self, o: &DeltaBucket) {
+        self.rs.fold(&o.rs);
+        self.ws.fold(&o.ws);
+        self.meta_rs.fold(&o.meta_rs);
+        self.meta_ws.fold(&o.meta_ws);
+        self.ops += o.ops;
+        self.prf_evals += o.prf_evals;
+        self.singletons += o.singletons;
+        self.groups += o.groups;
+    }
 }
 
 /// One worker's pending digest folds, keyed by `(partition, scan_epoch)`.
@@ -67,33 +196,13 @@ pub(crate) struct DeltaSlot {
 }
 
 impl DeltaSlot {
-    /// Fold one op's digest contributions into the `(pi, se)` bucket.
-    pub fn fold(
-        &self,
-        pi: usize,
-        se: u64,
-        rs: &SetDigest,
-        ws: &SetDigest,
-        meta: Option<(&SetDigest, &SetDigest)>,
-        ops: u64,
-    ) {
+    /// Fold one op's contribution into the `(pi, se)` bucket.
+    pub fn fold(&self, pi: usize, se: u64, b: &DeltaBucket) {
         let mut buckets = self.buckets.lock();
-        let key = (pi, se);
-        let idx = match buckets.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                buckets.push((key, DeltaBucket::default()));
-                buckets.len() - 1
-            }
-        };
-        let b = &mut buckets[idx].1;
-        b.rs.fold(rs);
-        b.ws.fold(ws);
-        if let Some((mrs, mws)) = meta {
-            b.meta_rs.fold(mrs);
-            b.meta_ws.fold(mws);
+        match buckets.iter_mut().find(|(k, _)| *k == (pi, se)) {
+            Some((_, acc)) => acc.merge(b),
+            None => buckets.push(((pi, se), *b)),
         }
-        b.ops += ops;
     }
 
     /// Remove and return every bucket belonging to partition `pi`, as
@@ -179,6 +288,14 @@ mod tests {
         SetDigest([b; 32])
     }
 
+    fn bucket(rs: u8, ws: u8, ops: u64) -> DeltaBucket {
+        DeltaBucket {
+            rs: d(rs),
+            ws: d(ws),
+            ..DeltaBucket::new(ops)
+        }
+    }
+
     fn test_enclave() -> Enclave {
         Enclave::create("delta-test", 1 << 22, [6u8; 32])
     }
@@ -186,9 +303,9 @@ mod tests {
     #[test]
     fn slot_folds_accumulate_per_key() {
         let slot = DeltaSlot::default();
-        slot.fold(0, 0, &d(1), &d(2), None, 1);
-        slot.fold(0, 0, &d(4), &d(8), None, 2);
-        slot.fold(1, 0, &d(16), &d(32), None, 1);
+        slot.fold(0, 0, &bucket(1, 2, 1));
+        slot.fold(0, 0, &bucket(4, 8, 2));
+        slot.fold(1, 0, &bucket(16, 32, 1));
         assert_eq!(slot.partitions(), vec![0, 1]);
         let b0 = slot.drain_partition(0);
         assert_eq!(b0.len(), 1);
@@ -205,8 +322,8 @@ mod tests {
     #[test]
     fn buckets_key_on_scan_epoch() {
         let slot = DeltaSlot::default();
-        slot.fold(3, 0, &d(1), &d(1), None, 1);
-        slot.fold(3, 1, &d(2), &d(2), None, 1);
+        slot.fold(3, 0, &bucket(1, 1, 1));
+        slot.fold(3, 1, &bucket(2, 2, 1));
         let drained = slot.drain_partition(3);
         assert_eq!(drained.len(), 2, "distinct scan epochs stay separate");
     }
@@ -322,7 +439,18 @@ mod tests {
                 part.ops_since_close += 1;
                 // Sharded: the same op lands in worker (i mod workers)'s
                 // thread-local slot.
-                slots[i % workers].fold(*pi, *se, &rs, &ws, with_meta.then_some((&rs, &ws)), 1);
+                let (meta_rs, meta_ws) = match with_meta {
+                    true => (rs, ws),
+                    false => (SetDigest::ZERO, SetDigest::ZERO),
+                };
+                let b = DeltaBucket {
+                    rs,
+                    ws,
+                    meta_rs,
+                    meta_ws,
+                    ..DeltaBucket::new(1)
+                };
+                slots[i % workers].fold(*pi, *se, &b);
             }
 
             let mut merged: Vec<PartitionState> = (0..4).map(|_| PartitionState::new()).collect();

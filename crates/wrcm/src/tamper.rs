@@ -104,18 +104,17 @@ pub fn clobber_slot_directory(mem: &VerifiedMemory, page: u64, slot: SlotId) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemConfig;
     use std::sync::Arc;
-    use veridb_common::{Error, PrfBackend};
+    use veridb_common::{Error, PrfBackend, VeriDbConfig};
     use veridb_enclave::Enclave;
 
     fn mem(verify_metadata: bool) -> Arc<VerifiedMemory> {
         let enclave = Enclave::create("tamper-test", 1 << 22, [2u8; 32]);
         VerifiedMemory::new(
             enclave,
-            MemConfig {
+            &VeriDbConfig {
                 page_size: 1024,
-                partitions: 1,
+                rsws_partitions: 1,
                 verify_rsws: true,
                 verify_metadata,
                 verify_every_ops: None,
@@ -123,6 +122,7 @@ mod tests {
                 compact_during_verification: true,
                 prf: PrfBackend::HmacSha256,
                 workers: 1,
+                ..VeriDbConfig::default()
             },
         )
     }
@@ -241,7 +241,7 @@ mod tests {
         // optimistic)...
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(page, &slots, &mut batch).unwrap();
+        m.read_page_batch(page, &slots, &mut batch, None).unwrap();
         assert_eq!(batch.get(3).unwrap().1, b"forged!!!");
         // ...but it folded PRF(forged bytes, stale ts) into h(RS), which no
         // write ever produced: the epoch close must alarm.
@@ -261,7 +261,7 @@ mod tests {
         m.write(a, b"v2").unwrap();
         replay_cell(&m, a, &old, ts).unwrap();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(page, &[a.slot, b.slot], &mut batch)
+        m.read_page_batch(page, &[a.slot, b.slot], &mut batch, None)
             .unwrap();
         assert_eq!(batch.get(0).unwrap().1, b"v1", "stale value served");
         assert!(
@@ -280,7 +280,7 @@ mod tests {
             .collect();
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(page, &slots, &mut batch).unwrap();
+        m.read_page_batch(page, &slots, &mut batch, None).unwrap();
         (page, addrs)
     }
 

@@ -114,19 +114,18 @@ impl Drop for BackgroundVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemConfig;
     use veridb_common::backoff::Backoff;
     use veridb_common::obs::Metric;
-    use veridb_common::PrfBackend;
+    use veridb_common::{PrfBackend, VeriDbConfig};
     use veridb_enclave::Enclave;
 
     fn mem(verify_every: u64) -> Arc<VerifiedMemory> {
         let enclave = Enclave::create("verifier-test", 1 << 22, [1u8; 32]);
         VerifiedMemory::new(
             enclave,
-            MemConfig {
+            &VeriDbConfig {
                 page_size: 1024,
-                partitions: 2,
+                rsws_partitions: 2,
                 verify_rsws: true,
                 verify_metadata: false,
                 verify_every_ops: Some(verify_every),
@@ -134,6 +133,7 @@ mod tests {
                 compact_during_verification: true,
                 prf: PrfBackend::SipHash,
                 workers: 1,
+                ..VeriDbConfig::default()
             },
         )
     }
@@ -238,19 +238,18 @@ mod tests {
 #[cfg(test)]
 mod pool_tests {
     use super::*;
-    use crate::memory::MemConfig;
     use veridb_common::backoff::Backoff;
     use veridb_common::obs::Metric;
-    use veridb_common::PrfBackend;
+    use veridb_common::{PrfBackend, VeriDbConfig};
     use veridb_enclave::Enclave;
 
     fn mem(partitions: usize) -> Arc<VerifiedMemory> {
         let enclave = Enclave::create("pool-test", 1 << 22, [13u8; 32]);
         VerifiedMemory::new(
             enclave,
-            MemConfig {
+            &VeriDbConfig {
                 page_size: 1024,
-                partitions,
+                rsws_partitions: partitions,
                 verify_rsws: true,
                 verify_metadata: false,
                 verify_every_ops: Some(5),
@@ -258,6 +257,7 @@ mod pool_tests {
                 compact_during_verification: true,
                 prf: PrfBackend::SipHash,
                 workers: 1,
+                ..VeriDbConfig::default()
             },
         )
     }

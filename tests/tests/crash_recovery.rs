@@ -199,7 +199,12 @@ fn crash_then_snapshot_substitution_is_refused_visibly() {
         .collect();
     let newest_sealed: u64 = names
         .iter()
-        .filter_map(|n| n.strip_prefix("manifest-")?.strip_suffix(".sealed")?.parse().ok())
+        .filter_map(|n| {
+            n.strip_prefix("manifest-")?
+                .strip_suffix(".sealed")?
+                .parse()
+                .ok()
+        })
         .max()
         .expect("at least one sealed manifest");
     let mut snaps: Vec<&String> = names.iter().filter(|n| n.starts_with("snap-")).collect();

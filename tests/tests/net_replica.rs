@@ -65,7 +65,9 @@ fn cold_replica_bootstraps_ships_and_fails_over() {
     primary
         .sql("CREATE TABLE acct (id INT PRIMARY KEY, bal INT)")
         .unwrap();
-    primary.sql("INSERT INTO acct VALUES (1,100),(2,200)").unwrap();
+    primary
+        .sql("INSERT INTO acct VALUES (1,100),(2,200)")
+        .unwrap();
     let mut pserver = serve(Arc::clone(&primary), "127.0.0.1:0").unwrap();
     let paddr = pserver.local_addr().to_string();
 
@@ -80,13 +82,16 @@ fn cold_replica_bootstraps_ships_and_fails_over() {
     let runner = ReplicaRunner::spawn(Arc::clone(&replica), &paddr, "veridb", TIMEOUT);
 
     // --- A client racks up verified history against the primary. ---
-    let mut client =
-        RemoteClient::connect_simulated(&paddr, "fo", "veridb", TIMEOUT).unwrap();
-    let r = client.query("SELECT id, bal FROM acct WHERE id = 1").unwrap();
+    let mut client = RemoteClient::connect_simulated(&paddr, "fo", "veridb", TIMEOUT).unwrap();
+    let r = client
+        .query("SELECT id, bal FROM acct WHERE id = 1")
+        .unwrap();
     assert_eq!(r.rows[0][1], Value::Int(100));
 
     // More protected writes while the subscription is live.
-    primary.sql("UPDATE acct SET bal = 150 WHERE id = 1").unwrap();
+    primary
+        .sql("UPDATE acct SET bal = 150 WHERE id = 1")
+        .unwrap();
     primary.sql("INSERT INTO acct VALUES (3,300)").unwrap();
     wait_caught_up(&primary, &replica);
 
