@@ -3,10 +3,11 @@
 //! - `primitives`: the raw verified read/write/insert/delete cells — the
 //!   paper reports "the overhead of verifiable read/write is consistently
 //!   between 1.4–4.2 microseconds".
-//! - `prf`: HMAC-SHA-256 vs SipHash-2-4 digest tags — the paper observes
-//!   the RS/WS cost "is dominated almost exclusively by PRF operations"
-//!   and anticipates hardware-accelerated hashing; the SipHash backend
-//!   stands in for that.
+//! - `prf`: one HMAC-SHA-256 digest tag and one verified read — the paper
+//!   observes the RS/WS cost "is dominated almost exclusively by PRF
+//!   operations" and anticipates hardware-accelerated hashing, which
+//!   HMAC-SHA-256 gets from SHA extensions where the CPU has them
+//!   (`enclave.sha_hw`).
 //! - `compaction`: eager-on-delete vs deferred-to-scan space reclamation
 //!   (the §4.3 optimization).
 //! - `scan`: batched verified reads vs the per-cell path, at the memory
@@ -80,7 +81,7 @@ impl Group {
     }
 }
 
-fn memory(verify: bool, prf: PrfBackend, compact_lazy: bool) -> Arc<VerifiedMemory> {
+fn memory(verify: bool, compact_lazy: bool) -> Arc<VerifiedMemory> {
     let enclave = Enclave::create_random("bench", 1 << 26);
     VerifiedMemory::new(
         enclave,
@@ -91,7 +92,6 @@ fn memory(verify: bool, prf: PrfBackend, compact_lazy: bool) -> Arc<VerifiedMemo
             verify_every_ops: None,
             track_touched_pages: true,
             compact_during_verification: compact_lazy,
-            prf,
             workers: 1,
             ..VeriDbConfig::default()
         },
@@ -101,7 +101,7 @@ fn memory(verify: bool, prf: PrfBackend, compact_lazy: bool) -> Arc<VerifiedMemo
 fn bench_primitives() {
     let mut g = Group::new("primitives");
     for (label, verify) in [("baseline", false), ("verified", true)] {
-        let mem = memory(verify, PrfBackend::HmacSha256, true);
+        let mem = memory(verify, true);
         let page = mem.allocate_page();
         let addr = mem.insert_in(page, &[0xABu8; 500]).unwrap();
 
@@ -122,27 +122,17 @@ fn bench_primitives() {
 fn bench_prf() {
     let mut g = Group::new("prf");
     let data = [0x5Au8; 500];
-    for (label, backend) in [
-        ("hmac-sha256", PrfBackend::HmacSha256),
-        ("siphash24", PrfBackend::SipHash),
-    ] {
-        let prf = PrfEngine::new(backend, [7u8; 32]);
-        g.bench(&format!("tag-500B/{label}"), 100, 0, || {
-            std::hint::black_box(prf.tag(0xDEAD, 0, &data, 42));
-        });
-    }
-    // Full verified read under each backend (PRF cost dominates, §6.1).
-    for (label, backend) in [
-        ("hmac-sha256", PrfBackend::HmacSha256),
-        ("siphash24", PrfBackend::SipHash),
-    ] {
-        let mem = memory(true, backend, true);
-        let page = mem.allocate_page();
-        let addr = mem.insert_in(page, &data).unwrap();
-        g.bench(&format!("verified-read/{label}"), 100, 0, || {
-            mem.read(addr).unwrap();
-        });
-    }
+    let prf = PrfEngine::new(PrfBackend::HmacSha256, [7u8; 32]);
+    g.bench("tag-500B/hmac-sha256", 100, 0, || {
+        std::hint::black_box(prf.tag(0xDEAD, 0, &data, 42));
+    });
+    // Full verified read (PRF cost dominates, §6.1).
+    let mem = memory(true, true);
+    let page = mem.allocate_page();
+    let addr = mem.insert_in(page, &data).unwrap();
+    g.bench("verified-read/hmac-sha256", 100, 0, || {
+        mem.read(addr).unwrap();
+    });
     g.finish();
 }
 
@@ -153,7 +143,7 @@ fn bench_compaction() {
         // timed.
         let samples: Vec<f64> = (0..20)
             .map(|_| {
-                let mem = memory(true, PrfBackend::HmacSha256, lazy);
+                let mem = memory(true, lazy);
                 let page = mem.allocate_page();
                 let addrs: Vec<_> = (0..50)
                     .map(|_| mem.insert_in(page, &[0x11; 120]).unwrap())
@@ -229,78 +219,48 @@ fn bench_scan() {
     let mut g = Group::new("scan");
 
     // Memory layer: one page of 64 ~100 B cells, read per-cell vs batched.
-    for (label, backend) in [
-        ("hmac-sha256", PrfBackend::HmacSha256),
-        ("siphash24", PrfBackend::SipHash),
-    ] {
-        let mem = memory(true, backend, true);
-        let page = mem.allocate_page();
-        let addrs: Vec<_> = (0..SCAN_CELLS)
-            .map(|i| mem.insert_in(page, &[i as u8; 100]).unwrap())
-            .collect();
-        let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
-        g.bench(
-            &format!("wrcm-per-cell-64x100B/{label}"),
-            10,
-            SCAN_CELLS,
-            || {
-                for a in &addrs {
-                    mem.read(*a).unwrap();
-                }
-            },
-        );
-        let mut batch = ReadBatch::new();
-        g.bench(
-            &format!("wrcm-batched-64x100B/{label}"),
-            10,
-            SCAN_CELLS,
-            || {
-                mem.read_page_batch(page, &slots, &mut batch, None).unwrap();
-                assert_eq!(batch.len(), SCAN_CELLS);
-            },
-        );
-    }
+    let mem = memory(true, true);
+    let page = mem.allocate_page();
+    let addrs: Vec<_> = (0..SCAN_CELLS)
+        .map(|i| mem.insert_in(page, &[i as u8; 100]).unwrap())
+        .collect();
+    let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
+    g.bench("wrcm-per-cell-64x100B/hmac-sha256", 10, SCAN_CELLS, || {
+        for a in &addrs {
+            mem.read(*a).unwrap();
+        }
+    });
+    let mut batch = ReadBatch::new();
+    g.bench("wrcm-batched-64x100B/hmac-sha256", 10, SCAN_CELLS, || {
+        mem.read_page_batch(page, &slots, &mut batch, None).unwrap();
+        assert_eq!(batch.len(), SCAN_CELLS);
+    });
 
     // Storage layer: full verified sequential scan, batched fast path
     // (prefetching index) vs per-record fallback (prefetch disabled).
-    for (label, backend) in [
-        ("hmac-sha256", PrfBackend::HmacSha256),
-        ("siphash24", PrfBackend::SipHash),
-    ] {
-        let mem = memory(true, backend, true);
-        let fast = scan_table(&mem, true);
-        let slow = scan_table(&mem, false);
-        g.bench(
-            &format!("seq-scan-1024-batched/{label}"),
-            1,
-            SCAN_ROWS,
-            || {
-                let mut scan = fast.seq_scan();
-                let mut n = 0usize;
-                for r in scan.by_ref() {
-                    r.unwrap();
-                    n += 1;
-                }
-                assert_eq!(n, SCAN_ROWS);
-                assert!(scan.batched_rounds() > 0, "fast path must engage");
-            },
-        );
-        g.bench(
-            &format!("seq-scan-1024-per-record/{label}"),
-            1,
-            SCAN_ROWS,
-            || {
-                let mut scan = slow.seq_scan();
-                let mut n = 0usize;
-                for r in scan.by_ref() {
-                    r.unwrap();
-                    n += 1;
-                }
-                assert_eq!(n, SCAN_ROWS);
-                assert_eq!(scan.batched_rounds(), 0, "fallback must stay per-record");
-            },
-        );
-    }
+    let mem = memory(true, true);
+    let fast = scan_table(&mem, true);
+    let slow = scan_table(&mem, false);
+    g.bench("seq-scan-1024-batched/hmac-sha256", 1, SCAN_ROWS, || {
+        let mut scan = fast.seq_scan();
+        let mut n = 0usize;
+        for r in scan.by_ref() {
+            r.unwrap();
+            n += 1;
+        }
+        assert_eq!(n, SCAN_ROWS);
+        assert!(scan.batched_rounds() > 0, "fast path must engage");
+    });
+    g.bench("seq-scan-1024-per-record/hmac-sha256", 1, SCAN_ROWS, || {
+        let mut scan = slow.seq_scan();
+        let mut n = 0usize;
+        for r in scan.by_ref() {
+            r.unwrap();
+            n += 1;
+        }
+        assert_eq!(n, SCAN_ROWS);
+        assert_eq!(scan.batched_rounds(), 0, "fallback must stay per-record");
+    });
     g.finish();
 }
 

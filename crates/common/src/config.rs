@@ -8,17 +8,13 @@
 //! - Figure 10 sweeps `verify_every_ops` (one page scan per N operations).
 //! - Figure 13 sweeps `rsws_partitions`.
 
-/// Which keyed PRF backs the ReadSet/WriteSet digests.
+/// The keyed PRF that backs the ReadSet/WriteSet digests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrfBackend {
-    /// HMAC-SHA-256: the cryptographic default, matching the paper's
-    /// security claims.
+    /// HMAC-SHA-256, matching the paper's security claims. Runs on the
+    /// CPU's SHA extensions where it has them (the hardware hashing the
+    /// paper's §6.1 discussion anticipates).
     HmacSha256,
-    /// Keyed SipHash-2-4 (128-bit): a fast PRF standing in for the
-    /// hardware-accelerated hashing the paper's §6.1 discussion anticipates.
-    /// Not collision-resistant against adversaries who know the key — but
-    /// the key never leaves the (simulated) enclave.
-    SipHash,
 }
 
 /// Tunables for a VeriDB instance.
@@ -49,7 +45,7 @@ pub struct VeriDbConfig {
     /// "Compact page during verification"). When false, deletes reclaim
     /// space eagerly (the expensive pre-optimization behaviour).
     pub compact_during_verification: bool,
-    /// PRF backend for the set digests.
+    /// PRF for the set digests; HMAC-SHA-256 is its one value.
     pub prf: PrfBackend,
     /// Simulated EPC budget in bytes (the usable enclave memory; the paper
     /// quotes 96 MB). Enclave-resident state beyond this budget triggers

@@ -192,6 +192,7 @@ registry! {
     VerifiedWrites: Counter, One, "enclave.verified_writes", "Verified write primitives executed.";
     PagesScanned: Counter, One, "enclave.pages_scanned", "Pages re-read by the verifier.";
     SimulatedCycles: Derived(simulated_cycles), One, "enclave.simulated_cycles", "Simulated cycles of every boundary crossing and EPC swap.";
+    ShaHw: Gauge, One, "enclave.sha_hw", "1 when SHA-256 runs on the CPU's SHA extensions, 0 on the portable body.";
 }
 
 fn simulated_cycles(s: &MetricsSnapshot) -> u64 {
@@ -534,7 +535,7 @@ mod tests {
     fn catalog_is_the_golden_list_plus_the_appended_cost_rows() {
         let golden = include_str!("../../../tests/golden/stats_names.txt").lines();
         let appended = "enclave.ocalls enclave.verified_reads enclave.verified_writes \
-                        enclave.pages_scanned enclave.simulated_cycles";
+                        enclave.pages_scanned enclave.simulated_cycles enclave.sha_hw";
         let expected: Vec<&str> = golden.chain(appended.split(' ')).collect();
         let snap = Metrics::new().snapshot();
         let names: Vec<&str> = snap.counters().iter().map(|c| c.0).collect();

@@ -2,9 +2,18 @@
 //!
 //! These sit inside the trust boundary: the HMAC is the PRF behind the
 //! RS/WS digests and the portal MACs, and SHA-256 hashes attestation
-//! measurements, result digests, snapshots and MB-Tree nodes. The code is
-//! portable (no SHA extensions); the tests pin it to the FIPS 180-4 and
-//! RFC 4231 vectors.
+//! measurements, result digests, snapshots and MB-Tree nodes.
+//!
+//! The compression function has two bodies that compute the same thing.
+//! On an x86-64 CPU with the SHA extensions (SHA-NI, also available inside
+//! SGX enclaves) it runs `sha256rnds2`/`sha256msg1`/`sha256msg2` and keeps
+//! the state in XMM registers across a whole run of blocks; anywhere else
+//! it runs the portable round loop. The CPU is probed once and the answer
+//! cached ([`hardware_accelerated`]); nothing configures the choice. The
+//! portable body is also the tests' oracle for the hardware one, and both
+//! are pinned to the FIPS 180-4 and RFC 4231 vectors.
+
+use std::sync::OnceLock;
 
 /// SHA-256 block size in bytes (HMAC pads keys to this).
 const BLOCK_LEN: usize = 64;
@@ -26,43 +35,165 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// One SHA-256 compression of a 64-byte block into `h`.
-fn compress(h: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
-    let mut w = [0u32; 64];
-    for (i, word) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+/// A compression body: folds a run of whole 64-byte blocks (`blocks.len()`
+/// is a multiple of [`BLOCK_LEN`]) into the state `h`.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// Whether SHA-256 runs on the CPU's SHA extensions in this process. The
+/// CPU is probed on the first call and the answer cached.
+pub fn hardware_accelerated() -> bool {
+    static SHA_NI: OnceLock<bool> = OnceLock::new();
+    *SHA_NI.get_or_init(cpu_has_sha_ni)
+}
+
+#[cfg(target_arch = "x86_64")]
+fn cpu_has_sha_ni() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn cpu_has_sha_ni() -> bool {
+    false
+}
+
+/// The dispatched compression body: SHA-NI when the CPU has it, the
+/// portable loop otherwise.
+fn compress(h: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if hardware_accelerated() {
+        // SAFETY: the CPU reports the sha, ssse3 and sse4.1 features the
+        // body is compiled for.
+        return unsafe { compress_sha_ni(h, blocks) };
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
+    compress_portable(h, blocks);
+}
+
+/// The portable compression body: the FIPS 180-4 round loop, one block at
+/// a time.
+fn compress_portable(h: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        let mut w = [0u32; 64];
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+        for (k, w) in K.iter().zip(w) {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = hh
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(*k)
+                .wrapping_add(w);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            hh = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(s0.wrapping_add(maj));
+        }
+        for (x, y) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+            *x = x.wrapping_add(y);
+        }
     }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
-    for (k, w) in K.iter().zip(w) {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = hh
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(*k)
-            .wrapping_add(w);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        hh = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(s0.wrapping_add(maj));
+}
+
+/// The SHA-NI compression body. The state lives in two registers in the
+/// layout `sha256rnds2` wants, `abef` and `cdgh` (high lane first), for
+/// the whole run of blocks; each `sha256rnds2` does two rounds, and
+/// `sha256msg1`/`sha256msg2` extend the message schedule four words at a
+/// time.
+///
+/// # Safety
+///
+/// The CPU must support the `sha`, `ssse3` and `sse4.1` features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+unsafe fn compress_sha_ni(h: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+    #[cfg(test)]
+    tests::SHA_NI_RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+
+    // Byte order of each 32-bit word, big-endian message to lanes.
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let state = h.as_mut_ptr().cast::<__m128i>();
+    let cdab = _mm_shuffle_epi32(_mm_loadu_si128(state), 0xb1);
+    let efgh = _mm_shuffle_epi32(_mm_loadu_si128(state.add(1)), 0x1b);
+    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let src = block.as_ptr().cast::<__m128i>();
+        // w[i % 4] holds message words 4i..4i+4 for quad `i` of rounds.
+        let mut w = [
+            _mm_shuffle_epi8(_mm_loadu_si128(src), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(src.add(1)), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(src.add(2)), bswap),
+            _mm_shuffle_epi8(_mm_loadu_si128(src.add(3)), bswap),
+        ];
+
+        // Four rounds on message quad `$i`; `sched` first derives the quad
+        // from the four before it (quads 4 to 15).
+        macro_rules! quad {
+            (@rounds $i:literal) => {{
+                let k = _mm_loadu_si128(K.as_ptr().add(4 * $i).cast());
+                let wk = _mm_add_epi32(w[$i % 4], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }};
+            (sched $i:literal) => {{
+                let (q0, q1, q2, q3) = ($i % 4, ($i + 1) % 4, ($i + 2) % 4, ($i + 3) % 4);
+                let t = _mm_add_epi32(
+                    _mm_sha256msg1_epu32(w[q0], w[q1]),
+                    _mm_alignr_epi8(w[q3], w[q2], 4),
+                );
+                w[q0] = _mm_sha256msg2_epu32(t, w[q3]);
+                quad!(@rounds $i)
+            }};
+            ($i:literal) => {
+                quad!(@rounds $i)
+            };
+        }
+        quad!(0);
+        quad!(1);
+        quad!(2);
+        quad!(3);
+        quad!(sched 4);
+        quad!(sched 5);
+        quad!(sched 6);
+        quad!(sched 7);
+        quad!(sched 8);
+        quad!(sched 9);
+        quad!(sched 10);
+        quad!(sched 11);
+        quad!(sched 12);
+        quad!(sched 13);
+        quad!(sched 14);
+        quad!(sched 15);
+
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
     }
-    for (x, y) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-        *x = x.wrapping_add(y);
-    }
+
+    let feba = _mm_shuffle_epi32(abef, 0x1b);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    _mm_storeu_si128(state, _mm_blend_epi16(feba, dchg, 0xf0));
+    _mm_storeu_si128(state.add(1), _mm_alignr_epi8(dchg, feba, 8));
 }
 
 /// Incremental SHA-256.
@@ -99,7 +230,18 @@ impl Sha256 {
     }
 
     /// Absorb `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress);
+    }
+
+    /// Pad, finish and return the digest.
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.finish(compress)
+    }
+
+    /// Absorb `data` through `body`: top up a partial block, then hand
+    /// every whole block of `data` to `body` in one run, in place.
+    fn absorb(&mut self, mut data: &[u8], body: Compress) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (BLOCK_LEN - self.buf_len).min(data.len());
@@ -109,29 +251,31 @@ impl Sha256 {
             if self.buf_len < BLOCK_LEN {
                 return;
             }
-            compress(&mut self.h, &self.buf);
+            body(&mut self.h, &self.buf);
             self.buf_len = 0;
         }
-        let mut blocks = data.chunks_exact(BLOCK_LEN);
-        for block in &mut blocks {
-            compress(&mut self.h, block.try_into().expect("64-byte chunk"));
+        let (blocks, rest) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+        if !blocks.is_empty() {
+            body(&mut self.h, blocks);
         }
-        let rest = blocks.remainder();
         self.buf[..rest.len()].copy_from_slice(rest);
         self.buf_len = rest.len();
     }
 
-    /// Pad, finish and return the digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    /// Pad through `body` (one or two blocks, in one run) and return the
+    /// digest.
+    fn finish(mut self, body: Compress) -> [u8; DIGEST_LEN] {
         let n = self.buf_len;
-        self.buf[n] = 0x80;
-        self.buf[n + 1..].fill(0);
-        if n >= BLOCK_LEN - 8 {
-            compress(&mut self.h, &self.buf);
-            self.buf = [0; BLOCK_LEN];
-        }
-        self.buf[BLOCK_LEN - 8..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
-        compress(&mut self.h, &self.buf);
+        let mut tail = [0u8; 2 * BLOCK_LEN];
+        tail[..n].copy_from_slice(&self.buf[..n]);
+        tail[n] = 0x80;
+        let end = if n < BLOCK_LEN - 8 {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
+        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        body(&mut self.h, &tail[..end]);
         let mut out = [0u8; DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -152,17 +296,7 @@ pub struct HmacSha256 {
 impl HmacSha256 {
     /// Key a MAC. Keys longer than a block are hashed first (RFC 2104).
     pub fn new(key: &[u8]) -> Self {
-        let mut block = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
-        } else {
-            block[..key.len()].copy_from_slice(key);
-        }
-        let mut inner = Sha256::new();
-        inner.update(&block.map(|b| b ^ 0x36));
-        let mut outer = Sha256::new();
-        outer.update(&block.map(|b| b ^ 0x5c));
-        HmacSha256 { inner, outer }
+        Self::keyed(key, compress)
     }
 
     /// Absorb `data`.
@@ -172,18 +306,84 @@ impl HmacSha256 {
 
     /// Finish and return the tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.finish(compress)
+    }
+
+    /// Key a MAC, hashing through `body`.
+    fn keyed(key: &[u8], body: Compress) -> Self {
+        let mut block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let mut h = Sha256::new();
+            h.absorb(key, body);
+            block[..DIGEST_LEN].copy_from_slice(&h.finish(body));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.absorb(&block.map(|b| b ^ 0x36), body);
+        let mut outer = Sha256::new();
+        outer.absorb(&block.map(|b| b ^ 0x5c), body);
+        HmacSha256 { inner, outer }
+    }
+
+    /// Finish through `body`.
+    fn finish(self, body: Compress) -> [u8; DIGEST_LEN] {
         let mut outer = self.outer;
-        outer.update(&self.inner.finalize());
-        outer.finalize()
+        outer.absorb(&self.inner.finish(body), body);
+        outer.finish(body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{check, Rng};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    /// Calls of the SHA-NI body.
+    pub(super) static SHA_NI_RUNS: AtomicUsize = AtomicUsize::new(0);
+
+    /// Both bodies: the portable oracle and the dispatched one (SHA-NI on
+    /// a CPU with the SHA extensions, see
+    /// `dispatcher_takes_the_hardware_body_on_a_sha_cpu`).
+    const PATHS: [(&str, Compress); 2] =
+        [("portable", compress_portable), ("dispatched", compress)];
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn digest_on(body: Compress, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut h = Sha256::new();
+        for p in parts {
+            h.absorb(p, body);
+        }
+        h.finish(body)
+    }
+
+    fn hmac_on(body: Compress, key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut m = HmacSha256::keyed(key, body);
+        for p in parts {
+            m.inner.absorb(p, body);
+        }
+        m.finish(body)
+    }
+
+    #[test]
+    fn dispatcher_takes_the_hardware_body_on_a_sha_cpu() {
+        let before = SHA_NI_RUNS.load(Relaxed);
+        Sha256::digest(b"abc");
+        // Other tests only add to the count, so a rise is this digest's.
+        let ran_sha_ni = SHA_NI_RUNS.load(Relaxed) > before;
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha") {
+            assert!(
+                hardware_accelerated() && ran_sha_ni,
+                "SHA CPU, but the portable body ran"
+            );
+            return;
+        }
+        assert!(!hardware_accelerated() && !ran_sha_ni);
     }
 
     // FIPS 180-4 example vectors (NIST CSRC "SHA256.pdf", "SHA2_Additional").
@@ -209,19 +409,22 @@ mod tests {
             ),
         ] {
             assert_eq!(hex(&Sha256::digest(msg)), want, "{msg:?}");
+            for (path, body) in PATHS {
+                assert_eq!(hex(&digest_on(body, &[msg])), want, "{path}: {msg:?}");
+            }
         }
     }
 
     #[test]
     fn one_million_a() {
-        let mut h = Sha256::new();
-        for _ in 0..1000 {
-            h.update(&[b'a'; 1000]);
+        let chunk = [b'a'; 1000];
+        for (path, body) in PATHS {
+            assert_eq!(
+                hex(&digest_on(body, &[&chunk[..]; 1000])),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{path}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
@@ -243,10 +446,51 @@ mod tests {
         }
     }
 
-    fn hmac(key: &[u8], data: &[u8]) -> String {
-        let mut m = HmacSha256::new(key);
-        m.update(data);
-        hex(&m.finalize())
+    /// `data` cut at up to four random points.
+    fn random_split<'a>(rng: &mut Rng, data: &'a [u8]) -> Vec<&'a [u8]> {
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..=4usize))
+            .map(|_| rng.gen_range(0..=data.len()))
+            .collect();
+        cuts.sort_unstable();
+        let mut parts = Vec::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            parts.push(&data[at..cut]);
+            at = cut;
+        }
+        parts
+    }
+
+    #[test]
+    fn dispatched_path_matches_the_portable_oracle() {
+        check(300, |rng| {
+            let mut data = vec![0u8; rng.gen_range(0..=1024usize)];
+            rng.fill_bytes(&mut data);
+            let mut key = vec![0u8; rng.gen_range(0..=100usize)];
+            rng.fill_bytes(&mut key);
+            let oracle = digest_on(compress_portable, &random_split(rng, &data));
+            let mut h = Sha256::new();
+            random_split(rng, &data).iter().for_each(|p| h.update(p));
+            assert_eq!(h.finalize(), oracle, "digest of {} bytes", data.len());
+
+            let oracle = hmac_on(compress_portable, &key, &random_split(rng, &data));
+            let mut m = HmacSha256::new(&key);
+            random_split(rng, &data).iter().for_each(|p| m.update(p));
+            assert_eq!(m.finalize(), oracle, "tag of {} bytes", data.len());
+        });
+    }
+
+    #[test]
+    fn bodies_agree_on_chained_runs_of_blocks() {
+        let mut rng = Rng::seed_from_u64(7);
+        let (mut hw, mut portable) = (H0, H0);
+        for _ in 0..200 {
+            let mut run = vec![0u8; BLOCK_LEN * rng.gen_range(1..=4usize)];
+            rng.fill_bytes(&mut run);
+            compress(&mut hw, &run);
+            compress_portable(&mut portable, &run);
+            assert_eq!(hw, portable);
+        }
     }
 
     // RFC 4231 §4.2–4.8, HMAC-SHA-256 column. Case 5 truncates its
@@ -289,7 +533,17 @@ mod tests {
             ),
         ] {
             assert_eq!(hmac(key, data), want, "key {} bytes", key.len());
+            for (path, body) in PATHS {
+                let got = hex(&hmac_on(body, key, &[data]));
+                assert_eq!(got, want, "{path}: key {} bytes", key.len());
+            }
         }
+    }
+
+    fn hmac(key: &[u8], data: &[u8]) -> String {
+        let mut m = HmacSha256::new(key);
+        m.update(data);
+        hex(&m.finalize())
     }
 
     #[test]

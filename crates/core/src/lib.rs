@@ -121,6 +121,10 @@ impl VeriDb {
             });
         }
         let enclave = Enclave::create(identity, config.epc_budget, entropy);
+        enclave.metrics().set(
+            Metric::ShaHw,
+            u64::from(veridb_common::sha256::hardware_accelerated()),
+        );
         let mem = VerifiedMemory::new(enclave.clone(), &config);
         let catalog = Arc::new(Catalog::new(Arc::clone(&mem)));
         let engine = Arc::new(QueryEngine::new(catalog));

@@ -26,22 +26,29 @@ impl std::fmt::Debug for Mac {
 
 /// A symmetric MAC key. The raw bytes are module-private; the key can only
 /// sign and verify.
+///
+/// The HMAC key schedule (two SHA-256 compressions) is done once here and
+/// the keyed state cloned per signature, as `wrcm::PrfEngine` does.
 #[derive(Clone)]
 pub struct MacKey {
     key: [u8; 32],
+    keyed: HmacSha256,
 }
 
 impl MacKey {
     /// Wrap raw key bytes.
     pub fn new(key: [u8; 32]) -> Self {
-        MacKey { key }
+        MacKey {
+            key,
+            keyed: HmacSha256::new(&key),
+        }
     }
 
     /// Compute `HMAC-SHA256(key, len ‖ parts[0] ‖ len ‖ parts[1] ‖ …)`.
     /// Each part is length-framed so concatenation ambiguity cannot forge
     /// across field boundaries.
     pub fn sign(&self, parts: &[&[u8]]) -> Mac {
-        let mut mac = HmacSha256::new(&self.key);
+        let mut mac = self.keyed.clone();
         for p in parts {
             mac.update(&(p.len() as u64).to_le_bytes());
             mac.update(p);

@@ -189,14 +189,13 @@ fn approx_row_bytes(row: &Row) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veridb_common::{PrfBackend, Value, VeriDbConfig};
+    use veridb_common::{Value, VeriDbConfig};
     use veridb_enclave::Enclave;
 
     fn memory() -> Arc<VerifiedMemory> {
         let enclave = Enclave::create("spill-test", 1 << 22, [21u8; 32]);
         let mut cfg = VeriDbConfig::default();
         cfg.verify_every_ops = None;
-        cfg.prf = PrfBackend::SipHash;
         VerifiedMemory::new(enclave, &cfg)
     }
 

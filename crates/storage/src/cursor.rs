@@ -18,8 +18,11 @@
 //! untrusted index out of sync with the chain (the cursor resolves an
 //! `nKey` the splicer has not yet published, or one just removed). These
 //! are indistinguishable from tampering *at that instant*, so the cursor
-//! retries resolution a few times before raising the alarm; persistent
-//! inconsistency is reported as tampering.
+//! retries resolution a few times before raising the alarm. If the `nKey`
+//! still does not resolve, the cursor re-reads the record that announced
+//! it: when that record's verified `nKey` has moved on, a concurrent
+//! splice removed or bypassed the key and the walk follows the new link;
+//! when it has not, the inconsistency is reported as tampering.
 
 use crate::chain::ChainKey;
 use crate::record::StoredRecord;
@@ -44,6 +47,8 @@ pub struct VerifiedScan {
     hi: Bound<Value>,
     /// Key the next record must carry (condition 3); `None` before start.
     expected: Option<ChainKey>,
+    /// Key of the record whose `nKey` is `expected`.
+    prev: Option<ChainKey>,
     started: bool,
     done: bool,
     /// Records consumed (including evidence-only ones), for diagnostics.
@@ -71,6 +76,7 @@ impl VerifiedScan {
             lo,
             hi,
             expected: None,
+            prev: None,
             started: false,
             done: false,
             records_read: 0,
@@ -187,6 +193,32 @@ impl VerifiedScan {
             return Ok(rec);
         }
         Err(last_err.expect("at least one attempt"))
+    }
+
+    /// After `expected` failed to resolve: re-read the record that
+    /// announced it, through verified memory. If its `nKey` is no longer
+    /// `expected`, a concurrent delete (or insert) spliced the chain after
+    /// the scan read it, and the walk continues from the new `nKey`. The
+    /// re-read bytes are authentic, so an index that hides a live record
+    /// cannot make the scan skip it: the predecessor still names it and
+    /// the caller raises the alarm. `None` also covers a predecessor that
+    /// is itself gone.
+    fn relinked(&mut self, expected: &ChainKey) -> Result<Option<ChainKey>> {
+        let prev = self.prev.clone().expect("set with expected");
+        let Some(addr) = self.table.index(self.chain).find_exact(&prev) else {
+            return Ok(None);
+        };
+        let rec = match self.table.read_record(addr) {
+            Ok(r) => r,
+            Err(Error::SlotNotFound { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let nkey = rec.nkey(self.chain);
+        if rec.key(self.chain) != &prev || nkey == expected {
+            return Ok(None);
+        }
+        self.met().inc(Metric::ScanBenignRetries);
+        Ok(Some(nkey.clone()))
     }
 
     /// Locate the starting record: the floor of the lower bound
@@ -336,6 +368,8 @@ impl VerifiedScan {
             }
         }
         if verified > 0 {
+            // The last verified record's key is its candidate's key.
+            self.prev = Some(cands[verified as usize - 1].0.clone());
             self.batched_rounds += 1;
             self.met().inc(Metric::ScanBatchedRounds);
         }
@@ -392,12 +426,25 @@ impl Iterator for VerifiedScan {
                 match self.resolve(&expected) {
                     Ok(r) => r,
                     Err(e) => {
-                        self.finish();
-                        return Some(Err(e));
+                        let relinked = match e {
+                            Error::TamperDetected(_) => self.relinked(&expected),
+                            _ => Ok(None),
+                        };
+                        match relinked {
+                            Ok(Some(next)) => {
+                                self.expected = Some(next);
+                                continue;
+                            }
+                            alarm => {
+                                self.finish();
+                                return Some(Err(alarm.err().unwrap_or(e)));
+                            }
+                        }
                     }
                 }
             };
             self.expected = Some(rec.nkey(self.chain).clone());
+            self.prev = Some(rec.key(self.chain).clone());
             if let Some(v) = self.record_value(&rec) {
                 if self.value_in_bounds(&v) {
                     return Some(Ok(rec.row));
@@ -410,5 +457,79 @@ impl Iterator for VerifiedScan {
                 return None;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use veridb_common::{ColumnDef, ColumnType, Schema, VeriDbConfig};
+    use veridb_enclave::Enclave;
+    use veridb_wrcm::VerifiedMemory;
+
+    const ROWS: i64 = 100;
+
+    fn table() -> Arc<Table> {
+        let enclave = Enclave::create("cursor-test", 1 << 22, [6u8; 32]);
+        let mut cfg = VeriDbConfig::default();
+        cfg.verify_every_ops = None;
+        let mem = VerifiedMemory::new(enclave, &cfg);
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", ColumnType::Int),
+            ColumnDef::new("v", ColumnType::Str),
+        ])
+        .unwrap();
+        let t = Table::create(mem, "t", schema).unwrap();
+        for i in 0..ROWS {
+            t.insert(Row::new(vec![Value::Int(i), Value::Str(format!("v{i}"))]))
+                .unwrap();
+        }
+        t
+    }
+
+    /// A scan that has emitted its first prefetched run and stopped where
+    /// the next key is announced but not yet read. Returns the scan, the
+    /// rows emitted so far and that key's id.
+    fn scan_paused_before_unread_key(t: &Arc<Table>) -> (VerifiedScan, usize, Value) {
+        let mut scan = t.seq_scan();
+        let mut emitted = 0;
+        loop {
+            scan.next().unwrap().unwrap();
+            emitted += 1;
+            if scan.ready.is_empty() {
+                break;
+            }
+        }
+        let next = scan
+            .expected
+            .as_ref()
+            .unwrap()
+            .as_val()
+            .unwrap()
+            .head()
+            .clone();
+        (scan, emitted, next)
+    }
+
+    #[test]
+    fn a_delete_between_reading_a_record_and_its_successor_does_not_alarm() {
+        let t = table();
+        let (scan, emitted, next) = scan_paused_before_unread_key(&t);
+        t.delete(&next).unwrap();
+        let rest = scan
+            .collect_rows()
+            .expect("an honest delete is not tampering");
+        assert_eq!(emitted + rest.len(), ROWS as usize - 1);
+        assert!(rest.iter().all(|r| r[0] != next), "the deleted row is gone");
+        t.memory().verify_now().unwrap();
+    }
+
+    #[test]
+    fn an_index_that_hides_a_live_record_still_alarms() {
+        let t = table();
+        let (scan, _, next) = scan_paused_before_unread_key(&t);
+        t.index(0).remove(&ChainKey::val(next));
+        let err = scan.collect_rows().unwrap_err();
+        assert!(matches!(err, Error::TamperDetected(_)), "{err:?}");
     }
 }

@@ -55,6 +55,6 @@ pub mod verifier;
 pub use digest::SetDigest;
 pub use memory::{CellAddr, DeltaHandle, ReadBatch, VerifiedMemory, VerifyReport};
 pub use page::{RawPage, SlotId, PAGE_HEADER_BYTES};
-pub use prf::{PrfEngine, SipHash24};
+pub use prf::PrfEngine;
 pub use rsws::{PartitionState, RswsPair};
 pub use verifier::BackgroundVerifier;

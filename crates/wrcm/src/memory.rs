@@ -2195,7 +2195,6 @@ mod tests {
 mod proptests {
     use super::*;
     use veridb_common::rng::{check, Rng};
-    use veridb_common::PrfBackend;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -2240,7 +2239,6 @@ mod proptests {
                     verify_every_ops: None,
                     track_touched_pages: true,
                     compact_during_verification: true,
-                    prf: PrfBackend::SipHash,
                     workers: 1,
                     ..VeriDbConfig::default()
                 },

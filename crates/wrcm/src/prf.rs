@@ -1,23 +1,20 @@
-//! Keyed pseudo-random functions for set-digest contributions.
+//! The keyed pseudo-random function for set-digest contributions.
 //!
 //! Each memory event `(addr, kind, data, ts)` is mapped to a 32-byte PRF
-//! image which is XOR-folded into `h(RS)` / `h(WS)`. Two backends:
-//!
-//! - [`HmacPrf`]: HMAC-SHA-256 — the cryptographic default. Matches the
-//!   paper's security argument (collision-resistant keyed hash).
-//! - [`SipPrf`]: keyed SipHash-2-4 producing a 128-bit tag, evaluated under
-//!   two independent sub-keys to fill 32 bytes. ~20× faster; stands in for
-//!   the hardware-accelerated hashing the paper's §6.1 anticipates ("by
-//!   adopting hardware solutions such as FPGA, the hash speed can be
-//!   significantly improved"). Secure only because the key never leaves
-//!   the enclave; an adversary who learns it could forge collisions.
+//! image which is XOR-folded into `h(RS)` / `h(WS)`. The PRF is
+//! HMAC-SHA-256, the collision-resistant keyed hash the paper's security
+//! argument assumes. On a CPU with SHA extensions `common::sha256` runs it
+//! on SHA-NI: the hardware hashing §6.1 anticipates ("by adopting hardware
+//! solutions such as FPGA, the hash speed can be significantly
+//! improved").
 //!
 //! The paper measures that RS/WS maintenance cost "is dominated almost
-//! exclusively by PRF operations" — the `micro` bench compares
-//! the two backends to reproduce that observation.
+//! exclusively by PRF operations" — the `micro` bench's `prf` group and
+//! Ablation 1 measure it.
 
 use crate::digest::SetDigest;
 use veridb_common::sha256::HmacSha256;
+use veridb_common::PrfBackend;
 
 /// Cell-kind domain separator: record payload cells.
 pub const KIND_DATA: u8 = 0;
@@ -27,287 +24,73 @@ pub const KIND_META: u8 = 1;
 /// covering several cells of a page, see `VerifiedMemory::read_page_batch`).
 pub const KIND_GROUP: u8 = 2;
 
-/// A PRF backend choice; enum dispatch keeps the hot path monomorphic.
-#[derive(Clone)]
-pub enum PrfEngine {
-    /// HMAC-SHA-256 backend.
-    Hmac(HmacPrf),
-    /// SipHash-2-4 backend.
-    Sip(SipPrf),
-}
-
-impl PrfEngine {
-    /// Construct from a 32-byte enclave-derived key and the configured
-    /// backend.
-    pub fn new(backend: veridb_common::PrfBackend, key: [u8; 32]) -> Self {
-        match backend {
-            veridb_common::PrfBackend::HmacSha256 => PrfEngine::Hmac(HmacPrf::new(key)),
-            veridb_common::PrfBackend::SipHash => PrfEngine::Sip(SipPrf::new(key)),
-        }
-    }
-
-    /// PRF image of one memory event.
-    #[inline]
-    pub fn tag(&self, addr: u64, kind: u8, data: &[u8], ts: u64) -> SetDigest {
-        match self {
-            PrfEngine::Hmac(p) => p.tag(addr, kind, data, ts),
-            PrfEngine::Sip(p) => p.tag(addr, kind, data, ts),
-        }
-    }
-}
-
-impl std::fmt::Debug for PrfEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PrfEngine::Hmac(_) => write!(f, "PrfEngine::Hmac(…)"),
-            PrfEngine::Sip(_) => write!(f, "PrfEngine::Sip(…)"),
-        }
-    }
-}
-
-/// HMAC-SHA-256 PRF.
+/// The HMAC-SHA-256 PRF.
 ///
 /// The keyed HMAC state (the ipad/opad key schedule — two SHA-256
 /// compressions) is precomputed once at construction and `clone()`d per
-/// tag, instead of being rebuilt from the raw key on every call. Tag
-/// output is identical; only the per-call setup cost changes.
+/// tag, instead of being rebuilt from the raw key on every call.
 #[derive(Clone)]
-pub struct HmacPrf {
+pub struct PrfEngine {
     mac: HmacSha256,
 }
 
-impl HmacPrf {
-    /// Key the PRF (precomputes the HMAC key schedule).
-    pub fn new(key: [u8; 32]) -> Self {
-        HmacPrf {
+impl PrfEngine {
+    /// Key the PRF with a 32-byte enclave-derived key and the configured
+    /// backend (`PrfBackend` has the one variant `HmacSha256`).
+    pub fn new(backend: PrfBackend, key: [u8; 32]) -> Self {
+        let PrfBackend::HmacSha256 = backend;
+        PrfEngine {
             mac: HmacSha256::new(&key),
         }
     }
 
-    /// `HMAC(key, addr ‖ kind ‖ ts ‖ data)`.
+    /// PRF image of one memory event: `HMAC(key, addr ‖ kind ‖ ts ‖ data)`.
     pub fn tag(&self, addr: u64, kind: u8, data: &[u8], ts: u64) -> SetDigest {
+        let mut header = [0u8; 17];
+        header[..8].copy_from_slice(&addr.to_le_bytes());
+        header[8] = kind;
+        header[9..].copy_from_slice(&ts.to_le_bytes());
         let mut mac = self.mac.clone();
-        mac.update(&addr.to_le_bytes());
-        mac.update(&[kind]);
-        mac.update(&ts.to_le_bytes());
+        mac.update(&header);
         mac.update(data);
         SetDigest(mac.finalize())
     }
 }
 
-/// Keyed SipHash-2-4 PRF.
-///
-/// One 128-bit SipHash pass over the data, with `(addr, kind, ts)` bound
-/// into the *keys* (standard key-tweaking) so no message concatenation or
-/// allocation is needed, and the 128-bit output expanded to the 32-byte
-/// digest width with a SplitMix64 finalizer. This is the "fast PRF" lane:
-/// its security rests on the key staying inside the enclave, and its speed
-/// stands in for the hardware-accelerated hashing §6.1 anticipates.
-#[derive(Clone)]
-pub struct SipPrf {
-    k0: u64,
-    k1: u64,
-    k2: u64,
-    k3: u64,
-}
-
-/// SplitMix64 finalizer (Stafford variant 13) — a fast, well-mixed
-/// bijection used for key tweaking and output expansion.
-#[inline(always)]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-impl SipPrf {
-    /// Split the 32-byte key into SipHash keys + tweak keys.
-    pub fn new(key: [u8; 32]) -> Self {
-        let w = |i: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&key[i * 8..i * 8 + 8]);
-            u64::from_le_bytes(b)
-        };
-        SipPrf {
-            k0: w(0),
-            k1: w(1),
-            k2: w(2),
-            k3: w(3),
-        }
-    }
-
-    /// One SipHash-2-4-128 pass over `data` under `(addr, kind, ts)`-tweaked
-    /// keys, expanded to 32 bytes.
-    pub fn tag(&self, addr: u64, kind: u8, data: &[u8], ts: u64) -> SetDigest {
-        let t0 = splitmix64(self.k2 ^ addr ^ ((kind as u64) << 56));
-        let t1 = splitmix64(self.k3 ^ ts);
-        let (h0, h1) = SipHash24::hash128(self.k0 ^ t0, self.k1 ^ t1, data);
-        let h2 = splitmix64(h0 ^ 0xA5A5_A5A5_5A5A_5A5A);
-        let h3 = splitmix64(h1 ^ 0xC3C3_3C3C_C3C3_3C3C);
-        let mut out = [0u8; 32];
-        out[0..8].copy_from_slice(&h0.to_le_bytes());
-        out[8..16].copy_from_slice(&h1.to_le_bytes());
-        out[16..24].copy_from_slice(&h2.to_le_bytes());
-        out[24..32].copy_from_slice(&h3.to_le_bytes());
-        SetDigest(out)
-    }
-}
-
-/// A from-scratch SipHash-2-4 implementation with 128-bit output.
-///
-/// Implemented here because `std`'s SipHash is not externally keyable and
-/// we need a keyed PRF; the algorithm follows the SipHash reference
-/// (Aumasson & Bernstein), 128-bit variant.
-pub struct SipHash24;
-
-impl SipHash24 {
-    #[inline(always)]
-    fn rotl(x: u64, b: u32) -> u64 {
-        x.rotate_left(b)
-    }
-
-    #[inline(always)]
-    fn sipround(v: &mut [u64; 4]) {
-        v[0] = v[0].wrapping_add(v[1]);
-        v[1] = Self::rotl(v[1], 13);
-        v[1] ^= v[0];
-        v[0] = Self::rotl(v[0], 32);
-        v[2] = v[2].wrapping_add(v[3]);
-        v[3] = Self::rotl(v[3], 16);
-        v[3] ^= v[2];
-        v[0] = v[0].wrapping_add(v[3]);
-        v[3] = Self::rotl(v[3], 21);
-        v[3] ^= v[0];
-        v[2] = v[2].wrapping_add(v[1]);
-        v[1] = Self::rotl(v[1], 17);
-        v[1] ^= v[2];
-        v[2] = Self::rotl(v[2], 32);
-    }
-
-    /// SipHash-2-4 with 128-bit output, keyed by `(k0, k1)`.
-    pub fn hash128(k0: u64, k1: u64, msg: &[u8]) -> (u64, u64) {
-        let mut v = [
-            0x736f6d6570736575u64 ^ k0,
-            0x646f72616e646f6du64 ^ k1,
-            0x6c7967656e657261u64 ^ k0,
-            0x7465646279746573u64 ^ k1,
-        ];
-        // 128-bit variant: v1 ^= 0xee before processing.
-        v[1] ^= 0xee;
-
-        let len = msg.len();
-        let mut chunks = msg.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
-            let m = u64::from_le_bytes(b);
-            v[3] ^= m;
-            Self::sipround(&mut v);
-            Self::sipround(&mut v);
-            v[0] ^= m;
-        }
-        // final block: remaining bytes + length in the top byte
-        let rem = chunks.remainder();
-        let mut b = [0u8; 8];
-        b[..rem.len()].copy_from_slice(rem);
-        b[7] = len as u8;
-        let m = u64::from_le_bytes(b);
-        v[3] ^= m;
-        Self::sipround(&mut v);
-        Self::sipround(&mut v);
-        v[0] ^= m;
-
-        // finalization, first output word
-        v[2] ^= 0xee;
-        for _ in 0..4 {
-            Self::sipround(&mut v);
-        }
-        let h0 = v[0] ^ v[1] ^ v[2] ^ v[3];
-
-        // second output word
-        v[1] ^= 0xdd;
-        for _ in 0..4 {
-            Self::sipround(&mut v);
-        }
-        let h1 = v[0] ^ v[1] ^ v[2] ^ v[3];
-        (h0, h1)
+impl std::fmt::Debug for PrfEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PrfEngine(…)") // never print key material
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veridb_common::PrfBackend;
 
-    /// Reference vector from the SipHash reference implementation
-    /// (`vectors_siphash_2_4_128` for key 000102…0f, message 00 01 02 …).
-    #[test]
-    fn siphash128_reference_vectors() {
-        let k0 = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]);
-        let k1 = u64::from_le_bytes([8, 9, 10, 11, 12, 13, 14, 15]);
-
-        let expected: [[u8; 16]; 4] = [
-            // len 0..3 from the reference test vectors
-            [
-                0xa3, 0x81, 0x7f, 0x04, 0xba, 0x25, 0xa8, 0xe6, 0x6d, 0xf6, 0x72, 0x14, 0xc7, 0x55,
-                0x02, 0x93,
-            ],
-            [
-                0xda, 0x87, 0xc1, 0xd8, 0x6b, 0x99, 0xaf, 0x44, 0x34, 0x76, 0x59, 0x11, 0x9b, 0x22,
-                0xfc, 0x45,
-            ],
-            [
-                0x81, 0x77, 0x22, 0x8d, 0xa4, 0xa4, 0x5d, 0xc7, 0xfc, 0xa3, 0x8b, 0xde, 0xf6, 0x0a,
-                0xff, 0xe4,
-            ],
-            [
-                0x9c, 0x70, 0xb6, 0x0c, 0x52, 0x67, 0xa9, 0x4e, 0x5f, 0x33, 0xb6, 0xb0, 0x29, 0x85,
-                0xed, 0x51,
-            ],
-        ];
-
-        for (len, exp) in expected.iter().enumerate() {
-            let msg: Vec<u8> = (0..len as u8).collect();
-            let (h0, h1) = SipHash24::hash128(k0, k1, &msg);
-            let mut got = [0u8; 16];
-            got[..8].copy_from_slice(&h0.to_le_bytes());
-            got[8..].copy_from_slice(&h1.to_le_bytes());
-            assert_eq!(&got, exp, "mismatch at message length {len}");
-        }
+    fn prf(key: u8) -> PrfEngine {
+        PrfEngine::new(PrfBackend::HmacSha256, [key; 32])
     }
 
     #[test]
     fn backends_are_deterministic() {
-        for backend in [PrfBackend::HmacSha256, PrfBackend::SipHash] {
-            let p1 = PrfEngine::new(backend, [7u8; 32]);
-            let p2 = PrfEngine::new(backend, [7u8; 32]);
-            assert_eq!(
-                p1.tag(42, KIND_DATA, b"payload", 9),
-                p2.tag(42, KIND_DATA, b"payload", 9)
-            );
-        }
+        assert_eq!(
+            prf(7).tag(42, KIND_DATA, b"payload", 9),
+            prf(7).tag(42, KIND_DATA, b"payload", 9)
+        );
     }
 
     #[test]
     fn any_field_change_changes_the_tag() {
-        for backend in [PrfBackend::HmacSha256, PrfBackend::SipHash] {
-            let p = PrfEngine::new(backend, [7u8; 32]);
-            let base = p.tag(42, KIND_DATA, b"payload", 9);
-            assert_ne!(base, p.tag(43, KIND_DATA, b"payload", 9), "addr");
-            assert_ne!(base, p.tag(42, KIND_META, b"payload", 9), "kind");
-            assert_ne!(base, p.tag(42, KIND_DATA, b"payloae", 9), "data");
-            assert_ne!(base, p.tag(42, KIND_DATA, b"payload", 10), "ts");
-        }
+        let p = prf(7);
+        let base = p.tag(42, KIND_DATA, b"payload", 9);
+        assert_ne!(base, p.tag(43, KIND_DATA, b"payload", 9), "addr");
+        assert_ne!(base, p.tag(42, KIND_META, b"payload", 9), "kind");
+        assert_ne!(base, p.tag(42, KIND_DATA, b"payloae", 9), "data");
+        assert_ne!(base, p.tag(42, KIND_DATA, b"payload", 10), "ts");
     }
 
     #[test]
     fn different_keys_different_tags() {
-        let a = PrfEngine::new(PrfBackend::HmacSha256, [1u8; 32]);
-        let b = PrfEngine::new(PrfBackend::HmacSha256, [2u8; 32]);
-        assert_ne!(a.tag(1, 0, b"x", 1), b.tag(1, 0, b"x", 1));
-        let a = PrfEngine::new(PrfBackend::SipHash, [1u8; 32]);
-        let b = PrfEngine::new(PrfBackend::SipHash, [2u8; 32]);
-        assert_ne!(a.tag(1, 0, b"x", 1), b.tag(1, 0, b"x", 1));
+        assert_ne!(prf(1).tag(1, 0, b"x", 1), prf(2).tag(1, 0, b"x", 1));
     }
 }

@@ -116,7 +116,7 @@ mod tests {
     use super::*;
     use veridb_common::backoff::Backoff;
     use veridb_common::obs::Metric;
-    use veridb_common::{PrfBackend, VeriDbConfig};
+    use veridb_common::VeriDbConfig;
     use veridb_enclave::Enclave;
 
     fn mem(verify_every: u64) -> Arc<VerifiedMemory> {
@@ -131,7 +131,6 @@ mod tests {
                 verify_every_ops: Some(verify_every),
                 track_touched_pages: true,
                 compact_during_verification: true,
-                prf: PrfBackend::SipHash,
                 workers: 1,
                 ..VeriDbConfig::default()
             },
@@ -240,7 +239,7 @@ mod pool_tests {
     use super::*;
     use veridb_common::backoff::Backoff;
     use veridb_common::obs::Metric;
-    use veridb_common::{PrfBackend, VeriDbConfig};
+    use veridb_common::VeriDbConfig;
     use veridb_enclave::Enclave;
 
     fn mem(partitions: usize) -> Arc<VerifiedMemory> {
@@ -255,7 +254,6 @@ mod pool_tests {
                 verify_every_ops: Some(5),
                 track_touched_pages: true,
                 compact_during_verification: true,
-                prf: PrfBackend::SipHash,
                 workers: 1,
                 ..VeriDbConfig::default()
             },

@@ -89,6 +89,12 @@ fn metrics_smoke_counters_move_under_tpch_workload() {
 }
 
 #[test]
+fn sha_hw_gauge_reports_the_sha256_body_after_open() {
+    let want = u64::from(veridb_common::sha256::hardware_accelerated());
+    assert_eq!(db().metrics().get(Metric::ShaHw), want);
+}
+
+#[test]
 fn replay_rejection_survives_watermark_eviction() {
     let db = db();
     db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
