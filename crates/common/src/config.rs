@@ -47,10 +47,6 @@ pub struct VeriDbConfig {
     pub compact_during_verification: bool,
     /// PRF for the set digests; HMAC-SHA-256 is its one value.
     pub prf: PrfBackend,
-    /// Simulated EPC budget in bytes (the usable enclave memory; the paper
-    /// quotes 96 MB). Enclave-resident state beyond this budget triggers
-    /// simulated page-swap cost accounting.
-    pub epc_budget: usize,
     /// Per-query degree-of-parallelism cap for intra-query parallelism
     /// (morsel-driven scans, joins, aggregation) and for synchronous
     /// verification passes: the maximum number of *shared-pool* workers
@@ -257,7 +253,6 @@ impl Default for VeriDbConfig {
             track_touched_pages: true,
             compact_during_verification: true,
             prf: PrfBackend::HmacSha256,
-            epc_budget: 96 * 1024 * 1024,
             workers: default_workers(),
             pool_threads: default_pool_threads(),
             cell_cache_bytes: 0,

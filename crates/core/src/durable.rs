@@ -54,7 +54,7 @@
 //! Every refusal is loud: a host that substitutes older state gets
 //! `RollbackDetected` or `AuthFailed`, never a silently stale database.
 
-use crate::recovery::replay_tables;
+use crate::recovery::{replay_tables, snapshot_tables};
 use crate::VeriDb;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,8 +66,8 @@ use veridb_enclave::mac::sha256;
 use veridb_enclave::sealing::Sealer;
 use veridb_enclave::Enclave;
 use veridb_log::{
-    decode_snapshot, encode_snapshot, EpochStore, LogRecord, Manifest, TableSnapshot,
-    TrustedCounter, Wal, WalOptions, GENESIS_MAC,
+    decode_snapshot, encode_snapshot, EpochStore, LogRecord, Manifest, TrustedCounter, Wal,
+    WalOptions, GENESIS_MAC,
 };
 use veridb_query::{DurabilitySink, QueryEngine};
 use veridb_wrcm::VerifiedMemory;
@@ -174,18 +174,7 @@ impl DurableState {
     /// snapshot scan.
     fn seal_epoch(&self) -> Result<()> {
         let (last_lsn, chain_mac) = self.wal.flush_all()?;
-        let catalog = self.engine.catalog();
-        let mut tables = Vec::new();
-        for name in catalog.table_names() {
-            let t = catalog.table(&name)?;
-            let rows = t.seq_scan().collect_rows()?;
-            tables.push(TableSnapshot {
-                name,
-                schema: t.schema().clone(),
-                rows,
-            });
-        }
-        let snap = encode_snapshot(&tables);
+        let snap = encode_snapshot(&snapshot_tables(self.engine.catalog())?);
         // The pass both checks h(RS)=h(WS) one more time and yields the
         // logical fingerprint the manifest pins.
         let report = self.mem.verify_now()?;
@@ -353,8 +342,7 @@ impl VeriDb {
                 return Err(Error::RollbackDetected { sequence: epoch });
             }
             // Replay the snapshot through the protected write path …
-            let tables = decode_snapshot(&snap_bytes)?;
-            replay_tables(&db, tables.into_iter().map(|t| (t.name, t.schema, t.rows)))?;
+            replay_tables(&db, decode_snapshot(&snap_bytes)?)?;
             metrics.inc(Metric::SnapshotReplays);
             // … and hold it against the sealed fingerprint before
             // touching the tail: same records, or loud failure.

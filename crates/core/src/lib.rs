@@ -52,7 +52,7 @@ pub use veridb_common::{
     Result, Row, Schema, Value, VeriDbConfig,
 };
 pub use veridb_enclave::{Enclave, QuotingEnclave};
-pub use veridb_log::{LogRecord, Wal};
+pub use veridb_log::{LogRecord, TableSnapshot, Wal};
 pub use veridb_query::{
     Client, EndorsedResult, PlanOptions, PreferredJoin, QueryEngine, QueryPortal, QueryResult,
     SignedQuery,
@@ -62,6 +62,11 @@ pub use veridb_wrcm::{BackgroundVerifier, VerifiedMemory, VerifyReport};
 
 use std::sync::Arc;
 use veridb_common::sync::Mutex;
+
+/// Simulated EPC budget in bytes: the usable enclave memory the paper
+/// quotes (96 MB). Enclave-resident state beyond it charges simulated
+/// page swaps.
+const EPC_BUDGET: usize = 96 * 1024 * 1024;
 
 /// An open VeriDB instance: enclave + verified memory + catalog + engine,
 /// with an optional background verifier.
@@ -120,7 +125,7 @@ impl VeriDb {
                 );
             });
         }
-        let enclave = Enclave::create(identity, config.epc_budget, entropy);
+        let enclave = Enclave::create(identity, EPC_BUDGET, entropy);
         enclave.metrics().set(
             Metric::ShaHw,
             u64::from(veridb_common::sha256::hardware_accelerated()),

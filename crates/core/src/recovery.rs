@@ -9,21 +9,24 @@
 //! naturally rebuilds `h(WS)`; the always-running verifier then covers the
 //! recovered state like any other.
 //!
-//! [`Replica`] is the designated source in this reproduction: a plain
-//! snapshot of schemas and rows (what a remote replica would stream).
+//! [`Replica`] is the designated source in this reproduction: the same
+//! per-table snapshots a sealed on-disk epoch stores (what a remote
+//! replica would stream).
 //! Recovery also advances the timestamp counter past the snapshot's
 //! high-water mark — regressing it would itself be a rollback, which the
 //! client-side sequence-number defense would catch.
 
 use crate::VeriDb;
-use veridb_common::{Result, Row, Schema, VeriDbConfig};
+use veridb_common::{Result, VeriDbConfig};
+use veridb_log::TableSnapshot;
+use veridb_storage::Catalog;
 
 /// A replica snapshot: everything needed to rebuild the database through
 /// the protected write path.
 #[derive(Debug, Clone)]
 pub struct Replica {
-    /// `(table name, schema, rows)` triples.
-    pub tables: Vec<(String, Schema, Vec<Row>)>,
+    /// Every table's name, schema and rows.
+    pub tables: Vec<TableSnapshot>,
     /// The portal sequence high-water mark at snapshot time. Recovery
     /// advances the new enclave's counter past it so sequence numbers
     /// never repeat across the failure.
@@ -34,14 +37,8 @@ impl VeriDb {
     /// Snapshot the current state as a replica (what the remote replica
     /// would hold). Reads go through the verified scan path.
     pub fn snapshot_replica(&self) -> Result<Replica> {
-        let mut tables = Vec::new();
-        for name in self.catalog().table_names() {
-            let t = self.catalog().table(&name)?;
-            let rows = t.seq_scan().collect_rows()?;
-            tables.push((name, t.schema().clone(), rows));
-        }
         Ok(Replica {
-            tables,
+            tables: snapshot_tables(self.catalog())?,
             sequence_high_water: self.enclave().current_timestamp(),
         })
     }
@@ -57,13 +54,7 @@ impl VeriDb {
     /// [`VeriDb::open_durable`].
     pub fn recover_from_replica(config: VeriDbConfig, replica: &Replica) -> Result<VeriDb> {
         let db = VeriDb::open(config)?;
-        replay_tables(
-            &db,
-            replica
-                .tables
-                .iter()
-                .map(|(n, s, r)| (n.clone(), s.clone(), r.clone())),
-        )?;
+        replay_tables(&db, replica.tables.clone())?;
         // Never reuse sequence numbers from before the failure.
         db.enclave()
             .advance_timestamp_to(replica.sequence_high_water);
@@ -73,16 +64,29 @@ impl VeriDb {
     }
 }
 
+/// The single snapshot taker: every table's rows, read through the
+/// verified scan path. Both recovery sources — in-process [`Replica`]
+/// snapshots and `veridb-log`'s sealed on-disk epochs — are built here.
+pub(crate) fn snapshot_tables(catalog: &Catalog) -> Result<Vec<TableSnapshot>> {
+    let mut tables = Vec::new();
+    for name in catalog.table_names() {
+        let t = catalog.table(&name)?;
+        let rows = t.seq_scan().collect_rows()?;
+        tables.push(TableSnapshot {
+            name,
+            schema: t.schema().clone(),
+            rows,
+        });
+    }
+    Ok(tables)
+}
+
 /// The single snapshot-replay engine: rebuild tables through the
 /// protected write path (create + verified inserts), so `h(WS)` is
-/// re-established as a side effect. Both recovery sources — in-process
-/// [`Replica`] snapshots and `veridb-log`'s sealed on-disk snapshots —
-/// route through here.
-pub(crate) fn replay_tables(
-    db: &VeriDb,
-    tables: impl IntoIterator<Item = (String, Schema, Vec<Row>)>,
-) -> Result<()> {
-    for (name, schema, rows) in tables {
+/// re-established as a side effect. Both recovery sources route through
+/// here.
+pub(crate) fn replay_tables(db: &VeriDb, tables: Vec<TableSnapshot>) -> Result<()> {
+    for TableSnapshot { name, schema, rows } in tables {
         let table = db.catalog().create_table(&name, schema)?;
         for row in rows {
             table.insert(row)?;
@@ -126,6 +130,32 @@ mod tests {
         assert_eq!(r.rows[0][0], Value::Int(7));
         // The recovered instance verifies and keeps working.
         recovered.sql("INSERT INTO t VALUES (4,'d')").unwrap();
+        recovered.verify_now().unwrap();
+    }
+
+    /// Both recovery sources share one table type and so one codec: a
+    /// replica's tables survive the sealed-snapshot encoding and recover
+    /// row for row.
+    #[test]
+    fn replica_tables_round_trip_through_the_snapshot_codec() {
+        let db = populated();
+        let replica = db.snapshot_replica().unwrap();
+        let decoded =
+            veridb_log::decode_snapshot(&veridb_log::encode_snapshot(&replica.tables)).unwrap();
+        let mut cfg = VeriDbConfig::default();
+        cfg.verify_every_ops = None;
+        let recovered = VeriDb::recover_from_replica(
+            cfg,
+            &Replica {
+                tables: decoded,
+                sequence_high_water: replica.sequence_high_water,
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            recovered.snapshot_replica().unwrap().tables,
+            db.snapshot_replica().unwrap().tables
+        );
         recovered.verify_now().unwrap();
     }
 

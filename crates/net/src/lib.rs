@@ -41,7 +41,7 @@ pub use proxy::{Dir, Tamper, TamperProxy};
 pub use replica::{
     ensure_replica_seed, fetch_seed, run_replica, ReplicaOutcome, ReplicaRunner, ShipSubscription,
 };
-pub use server::{serve, serve_with, NetConfig, ServerHandle, SIM_ATTESTATION_ROOT};
+pub use server::{serve, ServerHandle, SIM_ATTESTATION_ROOT};
 
 #[cfg(test)]
 mod tests {

@@ -136,7 +136,7 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 /// Server tunables, derived from [`veridb_common::VeriDbConfig`].
 #[derive(Debug, Clone)]
-pub struct NetConfig {
+pub(crate) struct NetConfig {
     /// Maximum concurrent connections; beyond it the server stops
     /// accepting (backpressure), it does not reset queued connections.
     pub max_conns: usize,
@@ -624,12 +624,6 @@ struct Reactor {
 /// Returns once the listener is bound; serving happens on background
 /// threads until [`ServerHandle::shutdown`].
 pub fn serve(db: Arc<VeriDb>, addr: &str) -> Result<ServerHandle> {
-    let cfg = NetConfig::from_config(db.config());
-    serve_with(db, addr, cfg)
-}
-
-/// [`serve`] with explicit tunables.
-pub fn serve_with(db: Arc<VeriDb>, addr: &str, cfg: NetConfig) -> Result<ServerHandle> {
     let net_err = |op: &str, e: &dyn std::fmt::Display| Error::Net {
         peer: addr.to_owned(),
         op: op.into(),
@@ -656,8 +650,8 @@ pub fn serve_with(db: Arc<VeriDb>, addr: &str, cfg: NetConfig) -> Result<ServerH
     let metrics = Arc::clone(db.memory().metrics());
     let shared = Arc::new(ServerShared {
         qe: QuotingEnclave::new(SIM_ATTESTATION_ROOT),
+        cfg: NetConfig::from_config(db.config()),
         db,
-        cfg,
         portals: Mutex::new(HashMap::new()),
         active: AtomicUsize::new(0),
         queued: AtomicUsize::new(0),

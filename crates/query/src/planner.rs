@@ -513,7 +513,6 @@ struct FromTable {
 /// Resolution context for column names.
 struct Scope {
     tables: Vec<FromTable>,
-    total_width: usize,
 }
 
 impl Scope {
@@ -863,10 +862,7 @@ pub fn plan_select(
         });
         offset += width;
     }
-    let scope = Scope {
-        tables,
-        total_width: offset,
-    };
+    let scope = Scope { tables };
 
     // -- gather and resolve predicates ---------------------------------------
     let mut conjuncts: Vec<Expr> = Vec::new();
@@ -1662,9 +1658,4 @@ fn or_branches(e: Expr) -> Vec<Expr> {
 #[doc(hidden)]
 pub fn build_scan_for_test(table: &Arc<Table>, conjuncts: Vec<Expr>) -> Result<PhysicalPlan> {
     build_scan(table, conjuncts)
-}
-
-#[allow(dead_code)]
-fn unused_scope_width(s: &Scope) -> usize {
-    s.total_width
 }

@@ -24,7 +24,6 @@
 //! lying index can cause spurious errors but never an accepted wrong
 //! answer.
 
-pub mod bpindex;
 pub mod catalog;
 pub mod chain;
 pub mod cursor;
@@ -33,7 +32,6 @@ pub mod index;
 pub mod record;
 pub mod table;
 
-pub use bpindex::BPlusIndex;
 pub use catalog::Catalog;
 pub use chain::{ChainKey, CompositeKey};
 pub use cursor::VerifiedScan;

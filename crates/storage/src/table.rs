@@ -57,22 +57,6 @@ impl Table {
         Self::create_with_indexes(mem, name, schema, indexes)
     }
 
-    /// Create a table whose untrusted indexes are from-scratch B⁺-trees
-    /// ([`crate::bpindex::BPlusIndex`]) instead of `BTreeMap`s. The
-    /// verification story is identical — the oracle is untrusted either way.
-    pub fn create_with_bplus(
-        mem: Arc<VerifiedMemory>,
-        name: &str,
-        schema: Schema,
-    ) -> Result<Arc<Table>> {
-        let chains = schema.chained_columns();
-        let indexes = chains
-            .iter()
-            .map(|_| Box::new(crate::bpindex::BPlusIndex::new()) as Box<dyn IndexOracle>)
-            .collect();
-        Self::create_with_indexes(mem, name, schema, indexes)
-    }
-
     /// Create a table with caller-provided index oracles (attack tests
     /// inject [`crate::index::MaliciousIndex`] here).
     pub fn create_with_indexes(

@@ -487,32 +487,6 @@ fn honest_chain_index_basics() {
     assert_eq!(idx.find_below(&veridb_storage::ChainKey::NegInf), None);
 }
 
-#[test]
-fn bplus_indexed_table_behaves_identically() {
-    let mem = memory();
-    let t = Table::create_with_bplus(Arc::clone(&mem), "bp", quote_schema()).unwrap();
-    for i in 0..500i64 {
-        t.insert(Row::new(vec![int(i), int(i % 9), int(i % 5)]))
-            .unwrap();
-    }
-    // Point, miss, range, delete, update — all verified through the B+ index.
-    assert!(t.get_by_pk(&int(250)).unwrap().is_some());
-    assert!(t.get_by_pk(&int(1000)).unwrap().is_none());
-    let rows = t
-        .range_scan(0, Bound::Included(int(100)), Bound::Excluded(int(110)))
-        .collect_rows()
-        .unwrap();
-    assert_eq!(rows.len(), 10);
-    t.delete(&int(250)).unwrap();
-    assert!(t.get_by_pk(&int(250)).unwrap().is_none());
-    t.update(&int(251), Row::new(vec![int(251), int(0), int(0)]))
-        .unwrap();
-    let all = t.seq_scan().collect_rows().unwrap();
-    assert_eq!(all.len(), 499);
-    assert!(all.windows(2).all(|w| w[0][0] < w[1][0]));
-    mem.verify_now().unwrap();
-}
-
 // ---- batched scan fast path ----------------------------------------------
 
 /// An honest index that refuses prefetch hints: `next_entries` stays the

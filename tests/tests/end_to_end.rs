@@ -185,11 +185,15 @@ fn epc_swaps_over_budget_are_counted_and_priced() {
     let mut cfg = VeriDbConfig::default();
     cfg.verify_every_ops = None;
     cfg.page_size = 512;
-    cfg.epc_budget = 8 * 1024;
     let db = VeriDb::open(cfg).unwrap();
     db.sql("CREATE TABLE t (id INT PRIMARY KEY, pad TEXT)")
         .unwrap();
     let t = db.table("t").unwrap();
+    // Pin all but 8 KiB of the EPC budget, so a small load goes over it.
+    let epc = db.enclave().epc();
+    let _pinned = epc
+        .allocate(epc.budget() - epc.allocated() - 8 * 1024)
+        .unwrap();
     let mut id = 0i64;
     while db.metrics().get(Metric::EpcSwaps) == 0 {
         assert!(id < 10_000, "loading never went over the EPC budget");
