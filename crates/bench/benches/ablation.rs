@@ -276,9 +276,9 @@ fn spill_ablation() {
 /// Ablation 6: the `veridb-obs` hot-path cost. The registry is always on,
 /// so it is measured by subtraction: time protected reads of a hot cell,
 /// then time, on a scratch registry, the updates one such read makes (its
-/// commit's two PRF evaluations, one singleton element and zero group
-/// elements, then verified read and protected read), and report their
-/// share of the read against the ≤2% budget.
+/// commit's two PRF evaluations and one singleton element, then verified
+/// read and protected read), and report their share of the read against
+/// the ≤2% budget.
 fn obs_overhead_ablation() {
     use veridb_common::obs::{Metric, Metrics};
     use veridb_enclave::Enclave;
@@ -306,7 +306,6 @@ fn obs_overhead_ablation() {
             let m = std::hint::black_box(&scratch);
             m.add(Metric::PrfEvals, 2);
             m.add(Metric::SingletonElements, 1);
-            m.add(Metric::GroupElements, 0);
             m.inc(Metric::VerifiedReads);
             m.inc(Metric::ProtectedReads);
         }

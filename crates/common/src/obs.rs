@@ -125,9 +125,6 @@ registry! {
     ProtectedDeletes: Counter, One, "wrcm.protected_deletes", "Protected deletes.";
     BatchedReadCells: Counter, One, "wrcm.batched_read_cells", "Cells served by batched protected reads.";
     SingletonElements: Counter, One, "wrcm.singleton_elements", "Per-cell elements consumed into h(RS).";
-    GroupElements: Counter, One, "wrcm.group_elements", "Coalesced scan-group elements consumed into h(RS).";
-    GroupsFormed: Counter, One, "wrcm.groups_formed", "Scan groups formed by batched reads.";
-    GroupsDissolved: Counter, One, "wrcm.groups_dissolved", "Scan groups dissolved back into singletons.";
     PagesAllocated: Counter, One, "wrcm.pages_allocated", "Fresh pages registered.";
     PagesReused: Counter, One, "wrcm.pages_reused", "Pages handed back out from the free list.";
     PagesReleased: Counter, One, "wrcm.pages_released", "Empty pages released to the free list.";

@@ -81,8 +81,6 @@ pub(crate) struct DeltaBucket {
     pub prf_evals: u64,
     /// Per-cell elements consumed into `rs`.
     pub singletons: u64,
-    /// Scan-group elements consumed into `rs`.
-    pub groups: u64,
 }
 
 impl DeltaBucket {
@@ -107,37 +105,20 @@ impl DeltaBucket {
         self.prf_evals += 1;
     }
 
-    /// Consume a scan-group element, given its PRF image.
-    pub fn consume_group(&mut self, image: &SetDigest) {
-        self.rs.fold(image);
-        self.prf_evals += 1;
-        self.groups += 1;
-    }
-
-    /// Insert a scan-group element, given its PRF image.
-    pub fn produce_group(&mut self, image: &SetDigest) {
-        self.ws.fold(image);
-        self.prf_evals += 1;
-    }
-
-    /// Re-stamp `slots` of `page` with consecutive timestamps from `ts`,
-    /// inserting each cell's new element. With `consume`, each cell's
-    /// outstanding per-cell element is consumed first; without, it was
-    /// part of a scan group the caller consumed.
+    /// Re-stamp `slots` of `page` with consecutive timestamps from `ts`:
+    /// consume each cell's outstanding element, then insert it again
+    /// under its new timestamp.
     pub fn restamp(
         &mut self,
         prf: &PrfEngine,
         page: &mut RawPage,
         page_id: u64,
-        slots: &[SlotId],
+        slots: impl IntoIterator<Item = SlotId>,
         ts: u64,
-        consume: bool,
     ) -> Result<()> {
-        for (&slot, ts_new) in slots.iter().zip(ts..) {
+        for (slot, ts_new) in slots.into_iter().zip(ts..) {
             let (data, ts_old) = page.read(slot)?;
-            if consume {
-                self.consume(prf, page_id, slot, data, ts_old);
-            }
+            self.consume(prf, page_id, slot, data, ts_old);
             self.produce(prf, page_id, slot, data, ts_new);
             page.set_ts(slot, ts_new)?;
         }
@@ -179,7 +160,6 @@ impl DeltaBucket {
         self.ops += o.ops;
         self.prf_evals += o.prf_evals;
         self.singletons += o.singletons;
-        self.groups += o.groups;
     }
 }
 

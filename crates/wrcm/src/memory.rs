@@ -24,10 +24,10 @@
 
 use crate::delta::{self, DeltaBucket, DeltaSlot, TsAlloc};
 use crate::digest::SetDigest;
-use crate::page::{RawPage, ScanGroup, SlotId};
-use crate::prf::{PrfEngine, KIND_DATA, KIND_GROUP, KIND_META};
+use crate::page::{RawPage, SlotId};
+use crate::prf::{PrfEngine, KIND_DATA, KIND_META};
 use crate::rsws::{PageMeta, PageScanState, PartitionState};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -80,9 +80,10 @@ pub struct VerifyReport {
 /// Reusable scratch buffer for [`VerifiedMemory::read_page_batch`]: cell
 /// payloads are packed back-to-back into one flat allocation instead of
 /// one fresh `Vec<u8>` per cell, and the buffer's capacity survives across
-/// batches. Entries appear in request order; requested slots that are dead
-/// (tombstoned or out of range) are skipped, not errors — callers detect
-/// them by comparing the returned slot ids against their request.
+/// batches. Entries appear in request order, a repeated slot once at its
+/// first position; requested slots that are dead (tombstoned or out of
+/// range) are skipped, not errors — callers detect them by comparing the
+/// returned slot ids against their request.
 #[derive(Debug, Default)]
 pub struct ReadBatch {
     buf: Vec<u8>,
@@ -478,7 +479,6 @@ impl VerifiedMemory {
         }
         self.metrics.add(Metric::PrfEvals, b.prf_evals);
         self.metrics.add(Metric::SingletonElements, b.singletons);
-        self.metrics.add(Metric::GroupElements, b.groups);
     }
 
     /// Protected read: returns the cell's data, folding the read into
@@ -496,13 +496,10 @@ impl VerifiedMemory {
             return Ok(out);
         }
 
-        // A point read of a coalesced cell dissolves its scan group first,
-        // restoring per-cell elements (see DESIGN.md §9).
-        self.ensure_singleton(&mut page, addr.page, &entry.scan, addr.slot)?;
         let data = page.read(addr.slot)?.0.to_vec();
         let mut b = DeltaBucket::new(1);
         let ts = self.enclave.next_timestamp();
-        b.restamp(&self.prf, &mut page, addr.page, &[addr.slot], ts, true)?;
+        b.restamp(&self.prf, &mut page, addr.page, [addr.slot], ts)?;
         if self.cfg.verify_metadata {
             // Algorithm 3's Get reads the record pointer first.
             let ptr = page.slot_entry_bytes(addr.slot);
@@ -531,7 +528,6 @@ impl VerifiedMemory {
             return Ok(());
         }
 
-        self.ensure_singleton(&mut page, addr.page, &entry.scan, addr.slot)?;
         // Consume the old cell in place: the rs tag is computed from the
         // borrowed bytes, so no copy of the old payload is ever made.
         let mut b = DeltaBucket::new(1);
@@ -615,7 +611,6 @@ impl VerifiedMemory {
             return Ok(());
         }
 
-        self.ensure_singleton(&mut page, addr.page, &entry.scan, addr.slot)?;
         // The rs tag consumes the dying cell; computed from the borrowed
         // bytes before the tombstone lands, so nothing is copied.
         let mut b = DeltaBucket::new(1);
@@ -642,95 +637,20 @@ impl VerifiedMemory {
         Ok(())
     }
 
-    // ---- coalesced scan groups --------------------------------------------
-    //
-    // A batched read re-inserts the whole batch as ONE multiset element
-    // (`KIND_GROUP`): a single PRF image over the length-prefixed
-    // concatenation of the members' payloads, bound to the page address and
-    // one fresh timestamp. Steady-state sequential scans therefore cost two
-    // PRF evaluations per page instead of two per cell. Group membership
-    // lives in the untrusted page ([`RawPage::groups`]); any host lie about
-    // it changes what the next consume folds into `h(RS)` and is caught at
-    // epoch close. Single-cell operations dissolve the covering group first
-    // (`ensure_singleton`), restoring per-cell elements.
-
-    /// PRF image of a scan-group element: the members' payloads as stored
-    /// in `page` right now, length-prefixed and concatenated into
-    /// `scratch`, tagged under the page's protocol address and the
-    /// group's timestamp.
-    fn group_tag(
-        &self,
-        page: &RawPage,
-        page_id: u64,
-        group: &ScanGroup,
-        scratch: &mut Vec<u8>,
-    ) -> Result<SetDigest> {
-        scratch.clear();
-        scratch.extend_from_slice(&(group.slots.len() as u32).to_le_bytes());
-        for &slot in &group.slots {
-            let (data, _) = page.read(slot)?;
-            scratch.extend_from_slice(&slot.to_le_bytes());
-            scratch.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            scratch.extend_from_slice(data);
-        }
-        Ok(delta::tag(
-            &self.prf, page_id, 0, KIND_GROUP, scratch, group.ts,
-        ))
-    }
-
-    /// Dissolve `group`, already taken off `page`: consume its element
-    /// into `b` and re-insert every member as a singleton with a fresh
-    /// timestamp.
-    fn degroup(
-        &self,
-        page: &mut RawPage,
-        page_id: u64,
-        group: &ScanGroup,
-        b: &mut DeltaBucket,
-    ) -> Result<()> {
-        self.metrics.inc(Metric::GroupsDissolved);
-        b.consume_group(&self.group_tag(page, page_id, group, &mut Vec::new())?);
-        let ts = self.enclave.next_timestamp_block(group.slots.len() as u64);
-        b.restamp(&self.prf, page, page_id, &group.slots, ts, false)
-    }
-
-    /// Make `slot`'s outstanding element a per-cell singleton, dissolving
-    /// and committing the covering scan group if one exists. No-op (and no
-    /// locks beyond the held page lock) for ungrouped slots.
-    fn ensure_singleton(
-        &self,
-        page: &mut RawPage,
-        page_id: u64,
-        scan: &PageScanState,
-        slot: SlotId,
-    ) -> Result<()> {
-        let Some(group) = page.take_group_of(slot) else {
-            return Ok(());
-        };
-        let mut b = DeltaBucket::default();
-        self.degroup(page, page_id, &group, &mut b)?;
-        self.commit(scan, page_id, &b, None);
-        Ok(())
-    }
-
     // ---- batched protected reads ------------------------------------------
 
     /// Batched protected read: read up to `slots.len()` live cells of one
-    /// page into `out`, consuming each cell's outstanding element into
-    /// `h(RS)` and re-inserting the whole batch into `h(WS)` as **one
-    /// coalesced scan-group element** — a single PRF image over the
-    /// members' concatenated payloads (see DESIGN.md §9). The fixed costs
-    /// are paid once per batch instead of once per cell:
+    /// page into `out`, doing for each what [`Self::read`] does — consume
+    /// the cell's element under its old timestamp into `h(RS)` and insert
+    /// it again under a fresh one into `h(WS)` (Algorithm 1, per cell).
+    /// The fixed costs are paid once per batch instead of once per cell:
     ///
     /// - the page is looked up and locked once;
     /// - payloads land in `out`'s flat scratch buffer (no per-cell `Vec`);
+    /// - the fresh timestamps are drawn as one consecutive run;
     /// - all PRF tags are computed under the page lock alone and
-    ///   pre-combined (XOR) into one RS and one WS contribution, so the
-    ///   partition mutex is held for a single epoch lookup plus two
-    ///   32-byte folds;
-    /// - a repeat of the same batch (the steady state of a sequential
-    ///   scan) consumes the previous group element and writes a fresh
-    ///   one: **two** PRF evaluations for the page, not two per cell.
+    ///   pre-combined (XOR) into one `DeltaBucket`, so the partition mutex
+    ///   is held for a single epoch lookup plus two 32-byte folds.
     ///
     /// With `delta` (the shared-nothing path), the contribution goes to
     /// the handle's thread-local slot and the timestamps come from its
@@ -741,8 +661,9 @@ impl VerifiedMemory {
     ///
     /// Requested slots that are dead are skipped (nothing is folded for
     /// them, which is digest-neutral); callers detect skips by comparing
-    /// `out`'s slot ids against the request. Duplicate slots are read and
-    /// folded once — a group element covers each member exactly once.
+    /// `out`'s slot ids against the request. A duplicated slot is served
+    /// and folded once, in either mode, so a batch of k distinct live
+    /// cells costs exactly 2k PRF evaluations (4k with metadata).
     pub fn read_page_batch(
         &self,
         page_id: u64,
@@ -753,73 +674,26 @@ impl VerifiedMemory {
         out.clear();
         let entry = self.get_entry(page_id)?;
         let mut page = entry.raw.lock();
-
-        if !self.cfg.verify_rsws {
-            for &slot in slots {
-                if let Ok((data, _)) = page.read(slot) {
-                    out.push(slot, data);
-                }
-            }
-            drop(page);
-            self.metrics.add(Metric::BatchedReadCells, out.len() as u64);
-            self.op_tick_n(slots.len() as u64);
-            return Ok(());
-        }
-
-        // Pass 1: copy live payloads into the flat buffer (each slot at
-        // most once), remembering each cell's old timestamp.
-        let mut old_ts: Vec<u64> = Vec::with_capacity(slots.len());
         for &slot in slots {
             if out.cells.iter().any(|c| c.0 == slot) {
                 continue;
             }
-            if let Ok((data, ts)) = page.read(slot) {
+            if let Ok((data, _)) = page.read(slot) {
                 out.push(slot, data);
-                old_ts.push(ts);
             }
         }
         let n = out.len() as u64;
-        if n == 0 {
+        if !self.cfg.verify_rsws || n == 0 {
             drop(page);
+            self.metrics.add(Metric::BatchedReadCells, n);
             self.op_tick_n(slots.len() as u64);
             return Ok(());
         }
 
-        // Pass 2: consume every requested cell's outstanding element.
         let mut b = DeltaBucket::new(n);
-        let mut scratch = Vec::new();
-        let mut req: Vec<SlotId> = out.cells.iter().map(|c| c.0).collect();
-        req.sort_unstable();
-
-        // Scan groups wholly inside the request are consumed wholesale;
-        // groups straddling the request boundary dissolve, their outside
-        // members re-inserted as singletons with fresh timestamps.
-        let mut via_group: Vec<SlotId> = Vec::new();
-        while let Some(gidx) = (0..page.groups().len()).find(|&i| {
-            page.groups()[i]
-                .slots
-                .iter()
-                .any(|s| req.binary_search(s).is_ok())
-        }) {
-            let group = page.take_group(gidx);
-            b.consume_group(&self.group_tag(&page, page_id, &group, &mut scratch)?);
-            let (inside, outside): (Vec<SlotId>, Vec<SlotId>) = group
-                .slots
-                .iter()
-                .partition(|s| req.binary_search(s).is_ok());
-            if !outside.is_empty() {
-                self.metrics.inc(Metric::GroupsDissolved);
-                let ts = self.take_ts(&mut delta, outside.len() as u64);
-                b.restamp(&self.prf, &mut page, page_id, &outside, ts, false)?;
-            }
-            via_group.extend(inside);
-        }
-        via_group.sort_unstable();
-        for (i, (slot, data)) in out.iter().enumerate() {
-            if via_group.binary_search(&slot).is_err() {
-                b.consume(&self.prf, page_id, slot, data, old_ts[i]);
-            }
-        }
+        let ts = self.take_ts(&mut delta, n);
+        let served = out.cells.iter().map(|c| c.0);
+        b.restamp(&self.prf, &mut page, page_id, served, ts)?;
         if self.cfg.verify_metadata {
             let ts = self.take_ts(&mut delta, n);
             for (&(slot, ..), ts) in out.cells.iter().zip(ts..) {
@@ -827,24 +701,9 @@ impl VerifiedMemory {
                 b.meta(&self.prf, &mut page, page_id, slot, Some(ptr), ts);
             }
         }
-        // Re-insert: the whole batch becomes one scan-group element under
-        // a single fresh timestamp. Its member list lives on in the page,
-        // so it is allocated after the scratch vectors above: allocated
-        // before them, it left ~1.5% more resident memory after a 60k-row
-        // TPC-H scan under glibc's allocator.
-        let group = ScanGroup {
-            slots: out.cells.iter().map(|c| c.0).collect(),
-            ts: self.take_ts(&mut delta, 1),
-        };
-        b.produce_group(&self.group_tag(&page, page_id, &group, &mut scratch)?);
-        for &s in &group.slots {
-            page.set_ts(s, group.ts)?;
-        }
-        page.add_group(group.slots, group.ts);
         self.commit(&entry.scan, page_id, &b, delta);
         self.metrics.add(Metric::VerifiedReads, n);
         self.metrics.add(Metric::BatchedReadCells, n);
-        self.metrics.inc(Metric::GroupsFormed);
         drop(page);
         self.op_tick_n(slots.len() as u64);
         Ok(())
@@ -885,16 +744,10 @@ impl VerifiedMemory {
         page_id: u64,
         scan: &PageScanState,
     ) -> Result<()> {
-        // Eager compaction consumes every record as a singleton, so any
-        // scan groups dissolve first, into the same bucket.
         let mut b = DeltaBucket::default();
-        while !page.groups().is_empty() {
-            let group = page.take_group(0);
-            self.degroup(page, page_id, &group, &mut b)?;
-        }
         let live = page.live_slot_ids();
         let ts = self.enclave.next_timestamp_block(live.len() as u64);
-        b.restamp(&self.prf, page, page_id, &live, ts, true)?;
+        b.restamp(&self.prf, page, page_id, live, ts)?;
         self.compact_locked(page, page_id, scan);
         self.commit(scan, page_id, &b, None);
         Ok(())
@@ -951,29 +804,13 @@ impl VerifiedMemory {
         let (c_data, c_meta, c_fp, was_read) = if touched || !self.cfg.track_touched_pages {
             let mut c = SetDigest::ZERO;
             let mut n = 0u64;
-            // Grouped cells contribute through their group element; a
-            // group the host has corrupted beyond recomputation simply
-            // contributes nothing, which the epoch close then flags.
-            let mut scratch = Vec::new();
-            let mut in_group: HashSet<SlotId> = HashSet::new();
-            for group in page.groups() {
-                if let Ok(tag) = self.group_tag(&page, page_id, group, &mut scratch) {
-                    c.fold(&tag);
-                    n += 1;
-                }
-                in_group.extend(group.slots.iter().copied());
-            }
             let mut fp = [0u8; 32];
             for (slot, data, ts) in page.iter_live() {
-                // Every live cell contributes to the logical fingerprint,
-                // grouped or not — the fingerprint witnesses *contents*,
-                // the digests witness integrity.
+                // The fingerprint witnesses *contents*, the digests
+                // witness integrity.
                 let h = veridb_enclave::mac::sha256(&[b"cell-fp", data]);
                 for (a, b) in fp.iter_mut().zip(h.iter()) {
                     *a ^= b;
-                }
-                if in_group.contains(&slot) {
-                    continue;
                 }
                 c.fold(&delta::tag(&self.prf, page_id, slot, KIND_DATA, data, ts));
                 n += 1;
@@ -1582,7 +1419,7 @@ mod tests {
     /// and render what it leaves behind, before the closing `verify_now`
     /// (which must pass): per partition the epoch, `ops_since_close` and
     /// the first 8 bytes of its eight digests (`0` when zero), then the
-    /// PRF and scan-group counters.
+    /// PRF evaluation count.
     fn characterize(verify_metadata: bool, eager: bool) -> Vec<String> {
         let c = VeriDbConfig {
             page_size: 1024,
@@ -1613,12 +1450,12 @@ mod tests {
         m.read(at(p1, s1[0])).unwrap();
         m.write(at(p1, s1[1]), b"one-1-updated").unwrap();
         m.delete(at(p1, s1[2])).unwrap();
-        // A group forms, is consumed whole, then a point read dissolves it.
+        // A batch, its repeat, then a point read of one of its cells.
         let live = [s1[0], s1[1], s1[3], s1[4], s1[5]];
         m.read_page_batch(p1, &live, &mut batch, None).unwrap();
         m.read_page_batch(p1, &live, &mut batch, None).unwrap();
         m.read(at(p1, s1[4])).unwrap();
-        // A batch straddling the group over {0, 1, 3} dissolves it.
+        // Overlapping batches around point ops.
         m.read_page_batch(p1, &[s1[0], s1[1], s1[3]], &mut batch, None)
             .unwrap();
         m.read_page_batch(p1, &[s1[1], s1[3], s1[4]], &mut batch, None)
@@ -1677,12 +1514,7 @@ mod tests {
             ));
         }
         let met = m.metrics();
-        lines.push(format!(
-            "prf_evals {} group_elements {} groups_dissolved {}",
-            met.get(Metric::PrfEvals),
-            met.get(Metric::GroupElements),
-            met.get(Metric::GroupsDissolved)
-        ));
+        lines.push(format!("prf_evals {}", met.get(Metric::PrfEvals)));
         m.verify_now().unwrap();
         lines
     }
@@ -1694,31 +1526,31 @@ mod tests {
             "p0 meta_cur 0 0 meta_next 0 0",
         ];
         let rsws = [
-            "p1 e1 ops1 cur dfb555f90eb739b1 2acdb878f9bf0f6b next 0 0",
+            "p1 e1 ops1 cur ace7fc6a08b07fff b508cdfc497bd1f8 next 0 0",
             "p1 meta_cur 0 0 meta_next 0 0",
-            "p2 e0 ops23 cur 082b719caf7a3e35 082b719caf7a3e35 next 6ffb247d5f249504 bb6a5bd42a81d089",
+            "p2 e0 ops23 cur 082b719caf7a3e35 082b719caf7a3e35 next d80b45b38d829255 280885687c57d24e",
             "p2 meta_cur 0 0 meta_next 0 0",
-            "p3 e0 ops11 cur 961af13b3384d0b7 40b3e6ad3e88b2f5 next 0 0",
+            "p3 e0 ops11 cur 66275345ad298765 3bb300e12d056266 next 0 0",
             "p3 meta_cur 0 0 meta_next 0 0",
-            "prf_evals 99 group_elements 8 groups_dissolved 6",
+            "prf_evals 115",
         ];
         let meta = [
-            "p1 e1 ops1 cur 5c7e0c51068a5ebc 1a1ce1157d97ee3e next 0 0",
-            "p1 meta_cur 278ba751944cdbd4 dcf6f36be482ecd5 meta_next 0 0",
-            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next 6c70bfb1ff582ebb e7f08a2babc49fcd",
-            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next f00760bd2ff7e32e 5db1d7f8e26b69f5",
-            "p3 e0 ops11 cur 200fab970e5ecb78 0bf65cdb7d410661 next 0 0",
-            "p3 meta_cur cd3ace45f90e7428 ec344d8322cccb24 meta_next 0 0",
-            "prf_evals 241 group_elements 8 groups_dissolved 6",
+            "p1 e1 ops1 cur 5c7e0c51068a5ebc 61d73eb641533419 next 0 0",
+            "p1 meta_cur 4886cbae2132893c b1d58290f0e4af09 meta_next 0 0",
+            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next 104eb4184c08519b 1a56eeed4cf52b32",
+            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next 111817d24364ecd9 9579dcc90f2929c4",
+            "p3 e0 ops11 cur e990c88199690003 e0a60d2ebb48fa0f next 0 0",
+            "p3 meta_cur 5c7192182dba2c86 a6732ddf87547428 meta_next 0 0",
+            "prf_evals 257",
         ];
         let eager_meta = [
-            "p1 e1 ops1 cur c6fc831ffcfd9b59 3e0f34e2066f1c86 next 0 0",
-            "p1 meta_cur 624bad478b5939b7 1f05331291fd9040 meta_next 0 0",
-            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next e26de6ed7a7fc2e6 e7829df1118cf699",
-            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next 0409648e4162a0dc 32ca6c2e3829532d",
-            "p3 e0 ops11 cur 658a35bb05597bbc ec5d47d861f18e1e next 0 0",
-            "p3 meta_cur 5f25a2e8e0d389b7 6aa1b7a232227358 meta_next 0 0",
-            "prf_evals 309 group_elements 8 groups_dissolved 6",
+            "p1 e1 ops1 cur 3e8acc82fa10a724 339c0d3a287f1e87 next 0 0",
+            "p1 meta_cur 89ccd38ec438fe3b 074094657151e7ff meta_next 0 0",
+            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next b841ffe4e87154c4 9611d9f3df080ee1",
+            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next bc2dba0a9b45da06 8b5e9a196076a09d",
+            "p3 e0 ops11 cur 99d4e025da55e050 21fd6fb05ea475f4 next 0 0",
+            "p3 meta_cur 2797230064db0867 6bf5347be0dd9079 meta_next 0 0",
+            "prf_evals 325",
         ];
         for ((verify_metadata, eager), rest) in [
             ((false, false), rsws),
@@ -1810,37 +1642,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_batch_reads_cost_two_prfs_per_round() {
-        // Steady-state sequential scanning is the whole point of the
-        // coalesced group element: after the first batch established the
-        // group, every repeat is one consume + one re-insert, independent
-        // of how many cells the batch covers.
-        let m = mem();
-        let p = m.allocate_page();
-        let slots: Vec<SlotId> = (0..16)
-            .map(|i| {
-                m.insert_in(p, format!("cell-{i:02}").as_bytes())
-                    .unwrap()
-                    .slot
-            })
-            .collect();
-        let mut batch = ReadBatch::new();
-        m.read_page_batch(p, &slots, &mut batch, None).unwrap();
-        let before = m.metrics().snapshot();
-        for _ in 0..4 {
-            m.read_page_batch(p, &slots, &mut batch, None).unwrap();
-            assert_eq!(batch.len(), 16);
-        }
-        let spent = m.metrics().snapshot().since(&before);
-        assert_eq!(
-            spent.get(Metric::PrfEvals),
-            8,
-            "2 PRFs per repeated batch, not 2*16"
-        );
-        m.verify_now().unwrap();
-    }
-
-    #[test]
     fn point_ops_dissolve_group_and_verify() {
         let m = mem();
         let p = m.allocate_page();
@@ -1850,9 +1651,7 @@ mod tests {
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
         m.read_page_batch(p, &slots, &mut batch, None).unwrap();
-        // Each point primitive must first break the covering group back
-        // into singletons, otherwise its RS consume would not match the
-        // outstanding group element.
+        // Each point primitive consumes the element the batch re-inserted.
         assert_eq!(m.read(addrs[0]).unwrap(), b"g0");
         m.write(addrs[1], b"g1-updated").unwrap();
         m.delete(addrs[2]).unwrap();
@@ -1872,15 +1671,13 @@ mod tests {
             .map(|i| m.insert_in(p, format!("ov{i}").as_bytes()).unwrap().slot)
             .collect();
         let mut batch = ReadBatch::new();
-        // Establish a group over the first half, then request a window
-        // straddling grouped and ungrouped cells: the old group dissolves
-        // (outside members re-singletonized) and a new group forms.
+        // Read the first half, then a window straddling cells read and
+        // not read, then a strict subset of that window.
         m.read_page_batch(p, &slots[0..4], &mut batch, None)
             .unwrap();
         m.read_page_batch(p, &slots[2..6], &mut batch, None)
             .unwrap();
         assert_eq!(batch.len(), 4);
-        // A strict subset of the current group also dissolves it.
         m.read_page_batch(p, &slots[3..4], &mut batch, None)
             .unwrap();
         assert_eq!(batch.len(), 1);
@@ -1889,15 +1686,19 @@ mod tests {
 
     #[test]
     fn duplicate_slots_in_batch_are_deduped() {
-        let m = mem();
-        let p = m.allocate_page();
-        let a = m.insert_in(p, b"once").unwrap();
-        let b = m.insert_in(p, b"twice").unwrap();
-        let mut batch = ReadBatch::new();
-        m.read_page_batch(p, &[a.slot, b.slot, a.slot, a.slot], &mut batch, None)
-            .unwrap();
-        assert_eq!(batch.len(), 2, "each cell appears once in the result");
-        m.verify_now().unwrap();
+        for verify_rsws in [true, false] {
+            let m = mem_with(|c| c.verify_rsws = verify_rsws);
+            let p = m.allocate_page();
+            let a = m.insert_in(p, b"once").unwrap();
+            let b = m.insert_in(p, b"twice").unwrap();
+            let mut batch = ReadBatch::new();
+            m.read_page_batch(p, &[a.slot, b.slot, a.slot, a.slot], &mut batch, None)
+                .unwrap();
+            let got: Vec<(SlotId, &[u8])> = batch.iter().collect();
+            let want: [(SlotId, &[u8]); 2] = [(a.slot, b"once"), (b.slot, b"twice")];
+            assert_eq!(got, want, "each cell once, first-request order");
+            m.verify_now().unwrap();
+        }
     }
 
     #[test]
@@ -1907,7 +1708,7 @@ mod tests {
         let addrs: Vec<CellAddr> = (0..7)
             .map(|_| m.insert_in(p, &[0x42; 100]).unwrap())
             .collect();
-        // Group the tail cells, then punch holes in front of them.
+        // Batch-read the tail cells, then punch holes in front of them.
         let grouped: Vec<SlotId> = addrs[3..].iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
         m.read_page_batch(p, &grouped, &mut batch, None).unwrap();
@@ -1915,7 +1716,7 @@ mod tests {
         m.delete(addrs[1]).unwrap();
         m.delete(addrs[2]).unwrap();
         // Force an on-demand compaction; slot ids, data, and timestamps
-        // are preserved, so the group element stays recomputable.
+        // are preserved, so every cell's element stays recomputable.
         let big = m.insert_in(p, &[0x77; 300]).unwrap();
         assert_eq!(m.read(big).unwrap(), vec![0x77; 300]);
         m.read_page_batch(p, &grouped, &mut batch, None).unwrap();
@@ -2297,6 +2098,115 @@ mod proptests {
             for (addr, expect) in &model {
                 assert_eq!(&m.read(*addr).unwrap(), expect);
             }
+            m.verify_now().unwrap();
+        });
+    }
+
+    #[derive(Debug, Clone)]
+    enum BatchOp {
+        /// Batch-read these slots of page `.0`: random subsets, with
+        /// duplicates and dead or never-allocated slots.
+        Batch(usize, Vec<SlotId>),
+        Read(usize),
+        Write(usize, Vec<u8>),
+        Delete(usize),
+        Insert(usize, Vec<u8>),
+        ScanStep,
+    }
+
+    fn arb_batch_op(rng: &mut Rng) -> BatchOp {
+        match rng.gen_range(0..10u8) {
+            0..=3 => BatchOp::Batch(
+                rng.gen_range(0..2usize),
+                rng.vec(0..16, |r| r.gen_range(0..12u16)),
+            ),
+            4 => BatchOp::Read(rng.next_u64() as usize),
+            5 => BatchOp::Write(rng.next_u64() as usize, bytes(rng)),
+            6 => BatchOp::Delete(rng.next_u64() as usize),
+            7 => BatchOp::Insert(rng.gen_range(0..2usize), bytes(rng)),
+            _ => BatchOp::ScanStep,
+        }
+    }
+
+    /// A batch read of k distinct live cells costs exactly 2k PRF
+    /// evaluations (4k with metadata verification), returns each of them
+    /// once with the model's payload, and any interleaving of batches,
+    /// point ops and verifier steps verifies.
+    #[test]
+    fn batch_reads_cost_two_prfs_per_distinct_live_cell() {
+        check(48, |rng| {
+            let verify_metadata = rng.gen_bool(0.5);
+            let use_delta = rng.gen_bool(0.5);
+            let ops = rng.vec(0..60, arb_batch_op);
+            let enclave = Enclave::create("batch-prop", 1 << 22, [5u8; 32]);
+            let m = VerifiedMemory::new(
+                enclave,
+                &VeriDbConfig {
+                    page_size: 1024,
+                    rsws_partitions: 2,
+                    verify_metadata,
+                    verify_every_ops: None,
+                    workers: 1,
+                    ..VeriDbConfig::default()
+                },
+            );
+            let pages = [m.allocate_page(), m.allocate_page()];
+            let mut model: Vec<(CellAddr, Vec<u8>)> = Vec::new();
+            for (i, &p) in pages.iter().enumerate() {
+                for j in 0..8 {
+                    let data = format!("seed-{i}-{j}").into_bytes();
+                    model.push((m.insert_in(p, &data).unwrap(), data));
+                }
+            }
+            let mut h = use_delta.then(|| m.delta_handle());
+            let mut batch = ReadBatch::new();
+            for op in ops {
+                match op {
+                    BatchOp::Batch(pi, slots) => {
+                        let page = pages[pi];
+                        let mut want: Vec<(SlotId, &[u8])> = Vec::new();
+                        for &slot in &slots {
+                            let live = model.iter().find(|(a, _)| *a == CellAddr { page, slot });
+                            if let Some((_, data)) = live {
+                                if !want.iter().any(|w| w.0 == slot) {
+                                    want.push((slot, data));
+                                }
+                            }
+                        }
+                        let before = m.metrics().get(Metric::PrfEvals);
+                        m.read_page_batch(page, &slots, &mut batch, h.as_mut())
+                            .unwrap();
+                        let spent = m.metrics().get(Metric::PrfEvals) - before;
+                        let per_cell = if verify_metadata { 4 } else { 2 };
+                        assert_eq!(spent, per_cell * want.len() as u64);
+                        assert_eq!(batch.iter().collect::<Vec<_>>(), want);
+                    }
+                    BatchOp::Read(i) if !model.is_empty() => {
+                        let (addr, expect) = &model[i % model.len()];
+                        assert_eq!(&m.read(*addr).unwrap(), expect);
+                    }
+                    BatchOp::Write(i, data) if !model.is_empty() => {
+                        let idx = i % model.len();
+                        if m.write(model[idx].0, &data).is_ok() {
+                            model[idx].1 = data;
+                        }
+                    }
+                    BatchOp::Delete(i) if !model.is_empty() => {
+                        let (addr, _) = model.remove(i % model.len());
+                        m.delete(addr).unwrap();
+                    }
+                    BatchOp::Insert(pi, data) => {
+                        if let Ok(addr) = m.insert_in(pages[pi], &data) {
+                            model.push((addr, data));
+                        }
+                    }
+                    BatchOp::ScanStep => {
+                        m.scan_step().unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            drop(h);
             m.verify_now().unwrap();
         });
     }

@@ -43,23 +43,6 @@ const SLOT_FREE: u16 = 0;
 /// Index of a cell within a page.
 pub type SlotId = u16;
 
-/// A coalesced scan group: live cells whose outstanding RSWS multiset
-/// element is a single group element (one PRF image over the members'
-/// concatenated payloads at `ts`) instead of one element per cell.
-///
-/// Groups are created by batched verified reads and dissolved the moment
-/// any member is touched individually. Like every other field of the page,
-/// this is **untrusted** bookkeeping: the enclave never stores it, and a
-/// host that forges, drops, or re-timestamps a group merely folds the
-/// wrong elements into `h(RS)`, which the epoch close detects.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanGroup {
-    /// Member slots, in element-encoding order.
-    pub slots: Vec<SlotId>,
-    /// Timestamp the group element was written with.
-    pub ts: u64,
-}
-
 /// One slotted page of untrusted memory.
 pub struct RawPage {
     id: u64,
@@ -67,9 +50,6 @@ pub struct RawPage {
     /// Metadata timestamps, one per slot (used when metadata verification
     /// is enabled; untrusted, like the rest of the page).
     meta_ts: Vec<u64>,
-    /// Coalesced scan groups currently covering cells of this page
-    /// (untrusted; member sets are disjoint under honest operation).
-    groups: Vec<ScanGroup>,
 }
 
 impl RawPage {
@@ -86,7 +66,6 @@ impl RawPage {
             id,
             buf,
             meta_ts: Vec::new(),
-            groups: Vec::new(),
         };
         page.set_heap_top_usize(size); // heap grows down from the end
         page
@@ -404,43 +383,6 @@ impl RawPage {
         (0..self.slot_count())
             .filter(|&s| self.slot_offset(s) != SLOT_FREE)
             .collect()
-    }
-
-    // ---- scan groups ------------------------------------------------------
-
-    /// The scan groups currently covering cells of this page.
-    pub fn groups(&self) -> &[ScanGroup] {
-        &self.groups
-    }
-
-    /// Index of the group containing `slot`, if any. Group counts per page
-    /// are tiny (usually 0 or 1), so a linear scan is cheapest.
-    pub fn group_of(&self, slot: SlotId) -> Option<usize> {
-        self.groups.iter().position(|g| g.slots.contains(&slot))
-    }
-
-    /// Record a new scan group. The caller (the verified memory) is
-    /// responsible for having folded the matching group element into
-    /// `h(WS)`.
-    pub fn add_group(&mut self, slots: Vec<SlotId>, ts: u64) {
-        self.groups.push(ScanGroup { slots, ts });
-    }
-
-    /// Remove and return group `idx`.
-    pub fn take_group(&mut self, idx: usize) -> ScanGroup {
-        self.groups.swap_remove(idx)
-    }
-
-    /// Remove and return the group containing `slot`, if any.
-    pub fn take_group_of(&mut self, slot: SlotId) -> Option<ScanGroup> {
-        self.group_of(slot).map(|i| self.groups.swap_remove(i))
-    }
-
-    /// Direct mutable access to the group list — part of the host's
-    /// tampering surface, used by attack tests only.
-    #[doc(hidden)]
-    pub fn groups_mut(&mut self) -> &mut Vec<ScanGroup> {
-        &mut self.groups
     }
 
     /// Compact the heap: rewrite live cells contiguously at the bottom of

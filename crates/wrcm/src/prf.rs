@@ -20,9 +20,6 @@ use veridb_common::PrfBackend;
 pub const KIND_DATA: u8 = 0;
 /// Cell-kind domain separator: page-metadata (slot directory) cells.
 pub const KIND_META: u8 = 1;
-/// Cell-kind domain separator: coalesced scan-group elements (one element
-/// covering several cells of a page, see `VerifiedMemory::read_page_batch`).
-pub const KIND_GROUP: u8 = 2;
 
 /// The HMAC-SHA-256 PRF.
 ///

@@ -54,41 +54,6 @@ pub fn resurrect_cell(mem: &VerifiedMemory, page: u64, data: &[u8], ts: u64) -> 
     mem.with_page_mut(page, |p| p.insert(data, ts))?
 }
 
-/// Discard a page's coalesced scan-group bookkeeping, so the verifier
-/// recomputes singleton elements where the enclave inserted one group
-/// element (a host "forgetting" how a batch was re-inserted).
-pub fn drop_groups(mem: &VerifiedMemory, page: u64) -> Result<()> {
-    mem.with_page_mut(page, |p| p.groups_mut().clear())
-}
-
-/// Rewrite the timestamp of the group covering `slot` (a group-level
-/// replay). Returns `false` when no group covers the slot.
-pub fn retime_group(mem: &VerifiedMemory, page: u64, slot: SlotId, ts: u64) -> Result<bool> {
-    mem.with_page_mut(page, |p| {
-        for g in p.groups_mut() {
-            if g.slots.contains(&slot) {
-                g.ts = ts;
-                return true;
-            }
-        }
-        false
-    })
-}
-
-/// Remove `slot` from its covering group's membership list without
-/// touching the cell itself. Returns `false` when no group covers it.
-pub fn eject_from_group(mem: &VerifiedMemory, page: u64, slot: SlotId) -> Result<bool> {
-    mem.with_page_mut(page, |p| {
-        for g in p.groups_mut() {
-            if let Some(pos) = g.slots.iter().position(|&s| s == slot) {
-                g.slots.remove(pos);
-                return true;
-            }
-        }
-        false
-    })
-}
-
 /// Scribble over a slot-directory entry (page metadata).
 pub fn clobber_slot_directory(mem: &VerifiedMemory, page: u64, slot: SlotId) -> Result<()> {
     mem.with_page_mut(page, |p| {
@@ -270,66 +235,30 @@ mod tests {
         );
     }
 
-    /// Build a page whose cells are covered by one coalesced scan group
-    /// (the state a batched read leaves behind).
-    fn grouped_page(m: &VerifiedMemory) -> (u64, Vec<CellAddr>) {
+    #[test]
+    fn batched_read_of_swapped_cells_detected() {
+        // The host swaps two cells' (payload, ts) pairs between two batch
+        // reads of the page. Each swapped cell is a once-valid element,
+        // but under the other cell's address: the second batch consumes
+        // PRF images no write produced, and the epoch close must alarm.
         use crate::memory::ReadBatch;
+        let m = mem(false);
         let page = m.allocate_page();
-        let addrs: Vec<_> = (0..5)
-            .map(|i| m.insert_in(page, format!("grp-{i}").as_bytes()).unwrap())
+        let addrs: Vec<_> = (0..4)
+            .map(|i| m.insert_in(page, format!("cell-{i}").as_bytes()).unwrap())
             .collect();
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
         m.read_page_batch(page, &slots, &mut batch, None).unwrap();
-        (page, addrs)
-    }
-
-    #[test]
-    fn honest_grouped_page_verifies() {
-        let m = mem(false);
-        let (_, _) = grouped_page(&m);
-        m.verify_now().unwrap();
-    }
-
-    #[test]
-    fn dropping_group_bookkeeping_detected() {
-        // The group list lives in untrusted memory; the enclave folded ONE
-        // group element into h(WS). If the host discards the grouping, the
-        // verifier recomputes singletons instead — nothing cancels the
-        // outstanding group element and the epoch close alarms.
-        let m = mem(false);
-        let (page, _) = grouped_page(&m);
-        drop_groups(&m, page).unwrap();
+        let (d1, t1) = snapshot_cell(&m, addrs[1]).unwrap();
+        let (d2, t2) = snapshot_cell(&m, addrs[2]).unwrap();
+        replay_cell(&m, addrs[1], &d2, t2).unwrap();
+        replay_cell(&m, addrs[2], &d1, t1).unwrap();
+        m.read_page_batch(page, &slots, &mut batch, None).unwrap();
+        assert_eq!(batch.get(1).unwrap().1, b"cell-2", "swapped value served");
         let err = m.verify_now().unwrap_err();
         assert!(matches!(err, Error::VerificationFailed { .. }));
         assert!(m.poisoned().is_some());
-    }
-
-    #[test]
-    fn retiming_group_detected() {
-        let m = mem(false);
-        let (page, addrs) = grouped_page(&m);
-        assert!(retime_group(&m, page, addrs[0].slot, 1).unwrap());
-        assert!(m.verify_now().is_err());
-    }
-
-    #[test]
-    fn forging_group_membership_detected() {
-        let m = mem(false);
-        let (page, addrs) = grouped_page(&m);
-        assert!(eject_from_group(&m, page, addrs[2].slot).unwrap());
-        // The ejected cell now recomputes as a singleton AND the group tag
-        // covers different bytes: both sides of the lie break the digest.
-        assert!(m.verify_now().is_err());
-    }
-
-    #[test]
-    fn overwriting_grouped_cell_detected() {
-        let m = mem(false);
-        let (page, addrs) = grouped_page(&m);
-        let _ = page;
-        overwrite_cell(&m, addrs[3], b"forged!").unwrap();
-        assert!(m.verify_now().is_err());
     }
 
     #[test]
