@@ -232,7 +232,7 @@ fn bench_scan() {
     });
     let mut batch = ReadBatch::new();
     g.bench("wrcm-batched-64x100B/hmac-sha256", 10, SCAN_CELLS, || {
-        mem.read_page_batch(page, &slots, &mut batch, None).unwrap();
+        mem.read_page_batch(page, &slots, &mut batch).unwrap();
         assert_eq!(batch.len(), SCAN_CELLS);
     });
 

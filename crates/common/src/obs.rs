@@ -129,8 +129,6 @@ registry! {
     PagesReused: Counter, One, "wrcm.pages_reused", "Pages handed back out from the free list.";
     PagesReleased: Counter, One, "wrcm.pages_released", "Empty pages released to the free list.";
     PartLockWaitNs: Counter, One, "wrcm.part_lock_wait_ns", "Nanoseconds spent blocked on partition mutexes.";
-    DeltaMerges: Counter, One, "wrcm.delta_merges", "Thread-local delta buckets merged into partition state.";
-    TsBlocksAllocated: Counter, One, "wrcm.ts_blocks_allocated", "Timestamp blocks handed out to delta handles.";
     ScanSteps: Counter, One, "verify.scan_steps", "Verifier scan steps executed.";
     ScanStepNs: Histogram, One, "verify.scan_step_ns", "Wall-clock nanoseconds per verifier scan step.";
     EpochCloses: Counter, One, "verify.epoch_closes", "Partition epochs closed.";

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use veridb_common::backoff::{Backoff, RETRY_ATTEMPTS};
 use veridb_common::obs::{Metric, Metrics};
 use veridb_common::{Error, Result, Row, Value};
-use veridb_wrcm::{DeltaHandle, ReadBatch, SlotId};
+use veridb_wrcm::{ReadBatch, SlotId};
 
 /// How many `(key, addr)` bindings the cursor prefetches from the
 /// untrusted index per batched round.
@@ -58,14 +58,9 @@ pub struct VerifiedScan {
     /// Reusable scratch for batched page reads (one flat buffer for the
     /// whole scan instead of a `Vec<u8>` per cell).
     scratch: ReadBatch,
-    /// Rounds resolved through the batch path / through the per-record
-    /// fallback (diagnostics for the batching benchmarks).
+    /// Rounds served by the batched fast path (diagnostics for the
+    /// batching benchmarks).
     batched_rounds: u64,
-    /// Thread-local digest delta + timestamp block for the batched fast
-    /// path, created lazily on the first batched round and merged back
-    /// into partition state when the scan finishes (or is dropped). This
-    /// is what keeps a worker's scan off the partition mutexes.
-    delta: Option<DeltaHandle>,
 }
 
 impl VerifiedScan {
@@ -83,7 +78,6 @@ impl VerifiedScan {
             ready: VecDeque::new(),
             scratch: ReadBatch::new(),
             batched_rounds: 0,
-            delta: None,
         }
     }
 
@@ -310,12 +304,11 @@ impl VerifiedScan {
                 None => by_page.push((addr.page, vec![i])),
             }
         }
-        let mem = Arc::clone(self.table.memory());
+        let mem = self.table.memory();
         for (page, idxs) in &by_page {
             let slots: Vec<SlotId> = idxs.iter().map(|&i| cands[i].1.slot).collect();
-            let delta = self.delta.get_or_insert_with(|| mem.delta_handle());
             if mem
-                .read_page_batch(*page, &slots, &mut self.scratch, Some(delta))
+                .read_page_batch(*page, &slots, &mut self.scratch)
                 .is_err()
             {
                 continue; // stale page hint: those candidates stay None
@@ -375,13 +368,6 @@ impl VerifiedScan {
         }
         Ok(())
     }
-
-    /// End the scan: pending delta folds merge back into partition state
-    /// now instead of waiting for the cursor itself to be dropped.
-    fn finish(&mut self) {
-        self.done = true;
-        self.delta = None; // DeltaHandle::drop merges the remainder
-    }
 }
 
 impl Iterator for VerifiedScan {
@@ -389,7 +375,6 @@ impl Iterator for VerifiedScan {
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.done {
-            self.delta = None;
             return None;
         }
         // Obtain the next record: either the starting floor or the chain
@@ -404,18 +389,18 @@ impl Iterator for VerifiedScan {
                 match self.start() {
                     Ok(r) => r,
                     Err(e) => {
-                        self.finish();
+                        self.done = true;
                         return Some(Err(e));
                     }
                 }
             } else {
                 let expected = self.expected.clone().expect("set after start");
                 if self.past_upper(&expected) {
-                    self.finish();
+                    self.done = true;
                     return None;
                 }
                 if let Err(e) = self.try_fill_ready(&expected) {
-                    self.finish();
+                    self.done = true;
                     return Some(Err(e));
                 }
                 if !self.ready.is_empty() || self.expected.as_ref() != Some(&expected) {
@@ -436,7 +421,7 @@ impl Iterator for VerifiedScan {
                                 continue;
                             }
                             alarm => {
-                                self.finish();
+                                self.done = true;
                                 return Some(Err(alarm.err().unwrap_or(e)));
                             }
                         }
@@ -453,7 +438,7 @@ impl Iterator for VerifiedScan {
             // Evidence-only record (floor below the range, or a value
             // outside an excluded bound): keep walking.
             if self.past_upper(self.expected.as_ref().expect("just set")) {
-                self.finish();
+                self.done = true;
                 return None;
             }
         }

@@ -53,7 +53,7 @@ pub mod tamper;
 pub mod verifier;
 
 pub use digest::SetDigest;
-pub use memory::{CellAddr, DeltaHandle, ReadBatch, VerifiedMemory, VerifyReport};
+pub use memory::{CellAddr, ReadBatch, VerifiedMemory, VerifyReport};
 pub use page::{RawPage, SlotId, PAGE_HEADER_BYTES};
 pub use prf::PrfEngine;
 pub use rsws::{PartitionState, RswsPair};

@@ -15,14 +15,11 @@
 //! ([`crate::verifier`]) closes epochs by scanning pages and checking
 //! `h(RS) = h(WS)` per partition.
 //!
-//! Locking protocol: **one page mutex → one partition mutex → delta
-//! slot**, everywhere; no op holds two of either. A batched read given a
-//! [`DeltaHandle`] ([`VerifiedMemory::read_page_batch`]) touches only its
-//! page latch and its own slot — never a partition mutex; deltas merge
-//! under `partition → slot`, and the epoch close drains every registered
-//! slot in that same order.
+//! Locking protocol: **one page mutex → one partition mutex**, everywhere,
+//! batched reads included; no op holds two of either, and every op folds
+//! before it releases its page lock (DESIGN.md §9).
 
-use crate::delta::{self, DeltaBucket, DeltaSlot, TsAlloc};
+use crate::delta::{self, DeltaBucket};
 use crate::digest::SetDigest;
 use crate::page::{RawPage, SlotId};
 use crate::prf::{PrfEngine, KIND_DATA, KIND_META};
@@ -170,10 +167,6 @@ pub struct VerifiedMemory {
     /// background scanner. A plain atomic: the wrap at `usize::MAX` skews
     /// the round-robin once per 2^64 steps, which is harmless.
     scan_cursor: AtomicUsize,
-    /// Live thread-local delta slots ([`DeltaHandle`]); the epoch close
-    /// drains these after its no-pending-pages check so every deferred
-    /// fold destined for the closing epoch is reconciled.
-    delta_slots: Mutex<Vec<Arc<DeltaSlot>>>,
     /// Per-partition pass locks: a partition's scan pass (page processing
     /// up to and including the epoch close) is exclusive, so concurrent
     /// verifiers (§3.3's "multiple verifiers … for disjoint sections")
@@ -207,7 +200,6 @@ impl VerifiedMemory {
             ops: AtomicU64::new(0),
             ticker: RwLock::new(None),
             scan_cursor: AtomicUsize::new(0),
-            delta_slots: Mutex::new(Vec::new()),
             scan_locks,
             poisoned: Mutex::new(None),
         })
@@ -412,45 +404,6 @@ impl VerifiedMemory {
             .saturating_sub(crate::page::SLOT_ENTRY_BYTES + crate::page::CELL_HEADER_BYTES))
     }
 
-    // ---- shared-nothing delta handles (see crate::delta, DESIGN.md §14) ----
-
-    /// Create a worker-thread handle for shared-nothing verified
-    /// execution: digest folds issued through it accumulate in a private
-    /// slot and its timestamps come from private blocks, so the hot scan
-    /// path stops contending on the partition mutexes and the global
-    /// counter. The slot is registered so an epoch close can drain it;
-    /// dropping the handle merges any remainder and deregisters it.
-    pub fn delta_handle(self: &Arc<Self>) -> DeltaHandle {
-        let slot = Arc::new(DeltaSlot::default());
-        self.delta_slots.lock().push(Arc::clone(&slot));
-        DeltaHandle {
-            mem: Arc::clone(self),
-            slot,
-            ts: TsAlloc::default(),
-        }
-    }
-
-    /// Merge every pending bucket of `slot` into its partition state.
-    fn merge_slot(&self, slot: &DeltaSlot) {
-        for pi in slot.partitions() {
-            let mut part = self.lock_part(pi);
-            for (se, b) in slot.drain_partition(pi) {
-                delta::apply_bucket(&mut part, se, &b);
-            }
-            self.metrics.inc(Metric::DeltaMerges);
-        }
-    }
-
-    /// Draw `n` consecutive timestamps: from the handle's thread-local
-    /// block when a delta is engaged, from the shared counter otherwise.
-    fn take_ts(&self, delta: &mut Option<&mut DeltaHandle>, n: u64) -> u64 {
-        match delta {
-            Some(d) => d.ts.take(n, &self.enclave, &self.metrics),
-            None if n == 1 => self.enclave.next_timestamp(),
-            None => self.enclave.next_timestamp_block(n),
-        }
-    }
-
     // ---- protected operations (Algorithm 1 / Algorithm 3 primitives) ------
     //
     // Each op computes its PRF tags under the page lock alone — tags depend
@@ -460,23 +413,12 @@ impl VerifiedMemory {
 
     /// Fold `b` into the digests of `page_id`'s partition: capture the
     /// page's routing epoch (the caller holds the page lock, under which
-    /// the scan advances it), then fold into `delta`'s thread-local slot
-    /// or, without one, into the partition state under its mutex — before
-    /// the caller releases the page lock (fold-before-unlatch). Counts the
+    /// the scan advances it), then fold into the partition state under its
+    /// mutex — before the caller releases the page lock. Counts the
     /// bucket's PRF evaluations and consumed elements.
-    fn commit(
-        &self,
-        scan: &PageScanState,
-        page_id: u64,
-        b: &DeltaBucket,
-        delta: Option<&mut DeltaHandle>,
-    ) {
+    fn commit(&self, scan: &PageScanState, page_id: u64, b: &DeltaBucket) {
         let se = scan.touch_and_capture();
-        let pi = self.part_index(page_id);
-        match delta {
-            Some(d) => d.slot.fold(pi, se, b),
-            None => delta::apply_bucket(&mut self.lock_part(pi), se, b),
-        }
+        delta::apply_bucket(&mut self.lock_part(self.part_index(page_id)), se, b);
         self.metrics.add(Metric::PrfEvals, b.prf_evals);
         self.metrics.add(Metric::SingletonElements, b.singletons);
     }
@@ -506,7 +448,7 @@ impl VerifiedMemory {
             let ts = self.enclave.next_timestamp();
             b.meta(&self.prf, &mut page, addr.page, addr.slot, Some(ptr), ts);
         }
-        self.commit(&entry.scan, addr.page, &b, None);
+        self.commit(&entry.scan, addr.page, &b);
         self.metrics.inc(Metric::VerifiedReads);
         self.metrics.inc(Metric::ProtectedReads);
         drop(page);
@@ -542,7 +484,7 @@ impl VerifiedMemory {
             let ts = self.enclave.next_timestamp();
             b.meta(&self.prf, &mut page, addr.page, addr.slot, Some(ptr), ts);
         }
-        self.commit(&entry.scan, addr.page, &b, None);
+        self.commit(&entry.scan, addr.page, &b);
         self.metrics.inc(Metric::VerifiedWrites);
         self.metrics.inc(Metric::ProtectedWrites);
         drop(page);
@@ -587,7 +529,7 @@ impl VerifiedMemory {
             let ts = self.enclave.next_timestamp();
             b.meta(&self.prf, &mut page, page_id, slot, tombstone, ts);
         }
-        self.commit(&entry.scan, page_id, &b, None);
+        self.commit(&entry.scan, page_id, &b);
         self.metrics.inc(Metric::VerifiedWrites);
         self.metrics.inc(Metric::ProtectedInserts);
         drop(page);
@@ -622,7 +564,7 @@ impl VerifiedMemory {
             let ts = self.enclave.next_timestamp();
             b.meta(&self.prf, &mut page, addr.page, addr.slot, Some(ptr), ts);
         }
-        self.commit(&entry.scan, addr.page, &b, None);
+        self.commit(&entry.scan, addr.page, &b);
         self.metrics.inc(Metric::VerifiedWrites);
         self.metrics.inc(Metric::ProtectedDeletes);
 
@@ -649,27 +591,20 @@ impl VerifiedMemory {
     /// - payloads land in `out`'s flat scratch buffer (no per-cell `Vec`);
     /// - the fresh timestamps are drawn as one consecutive run;
     /// - all PRF tags are computed under the page lock alone and
-    ///   pre-combined (XOR) into one `DeltaBucket`, so the partition mutex
-    ///   is held for a single epoch lookup plus two 32-byte folds.
-    ///
-    /// With `delta` (the shared-nothing path), the contribution goes to
-    /// the handle's thread-local slot and the timestamps come from its
-    /// private block, so the call never touches a partition mutex or the
-    /// global counter. The folds land in partition state when the handle
-    /// merges (morsel completion / drop) or an epoch close drains the
-    /// slot — byte-identical to the direct fold, because XOR commutes.
+    ///   pre-combined (XOR) into one `DeltaBucket`, which commits like every
+    ///   other op's: under the partition mutex, held for one epoch lookup
+    ///   plus two 32-byte folds, before the page lock is released.
     ///
     /// Requested slots that are dead are skipped (nothing is folded for
     /// them, which is digest-neutral); callers detect skips by comparing
     /// `out`'s slot ids against the request. A duplicated slot is served
-    /// and folded once, in either mode, so a batch of k distinct live
-    /// cells costs exactly 2k PRF evaluations (4k with metadata).
+    /// and folded once, so a batch of k distinct live cells costs exactly
+    /// 2k PRF evaluations (4k with metadata).
     pub fn read_page_batch(
         &self,
         page_id: u64,
         slots: &[SlotId],
         out: &mut ReadBatch,
-        mut delta: Option<&mut DeltaHandle>,
     ) -> Result<()> {
         out.clear();
         let entry = self.get_entry(page_id)?;
@@ -691,17 +626,17 @@ impl VerifiedMemory {
         }
 
         let mut b = DeltaBucket::new(n);
-        let ts = self.take_ts(&mut delta, n);
+        let ts = self.enclave.next_timestamp_block(n);
         let served = out.cells.iter().map(|c| c.0);
         b.restamp(&self.prf, &mut page, page_id, served, ts)?;
         if self.cfg.verify_metadata {
-            let ts = self.take_ts(&mut delta, n);
+            let ts = self.enclave.next_timestamp_block(n);
             for (&(slot, ..), ts) in out.cells.iter().zip(ts..) {
                 let ptr = page.slot_entry_bytes(slot);
                 b.meta(&self.prf, &mut page, page_id, slot, Some(ptr), ts);
             }
         }
-        self.commit(&entry.scan, page_id, &b, delta);
+        self.commit(&entry.scan, page_id, &b);
         self.metrics.add(Metric::VerifiedReads, n);
         self.metrics.add(Metric::BatchedReadCells, n);
         drop(page);
@@ -733,7 +668,7 @@ impl VerifiedMemory {
         for ((slot, ptr), ts) in old.into_iter().zip(ts..) {
             b.meta(&self.prf, page, page_id, slot, Some(ptr), ts);
         }
-        self.commit(scan, page_id, &b, None);
+        self.commit(scan, page_id, &b);
     }
 
     /// Eager-mode compaction: verified read + re-timestamped write of every
@@ -749,7 +684,7 @@ impl VerifiedMemory {
         let ts = self.enclave.next_timestamp_block(live.len() as u64);
         b.restamp(&self.prf, page, page_id, live, ts)?;
         self.compact_locked(page, page_id, scan);
-        self.commit(scan, page_id, &b, None);
+        self.commit(scan, page_id, &b);
         Ok(())
     }
 
@@ -781,8 +716,8 @@ impl VerifiedMemory {
         // the lock before the (expensive) contribution computation is safe
         // because the caller holds this partition's pass lock — no other
         // verifier can process it — and we hold the page lock, so every
-        // protected op on this page (the writers of its scan state and the
-        // delta-path folders) is blocked until we are done.
+        // protected op on this page (the writers of its scan state and its
+        // digest folds) is blocked until we are done.
         let (touched, cached, cached_meta, cached_fp) = {
             let part = self.parts[pi].lock();
             let part_epoch = part.epoch;
@@ -858,19 +793,6 @@ impl VerifiedMemory {
         let mut part = self.parts[pi].lock();
         if part.next_pending_page().is_some() {
             return Ok(false);
-        }
-        // Reconcile every live thread-local delta before the consistency
-        // check: any fold destined for the closing epoch is already in its
-        // slot (ops fold before releasing the page lock, and every page of
-        // this partition was processed under its page lock), so draining
-        // here completes `cur` exactly as the serial fold would have.
-        // Lock order: partition → slot registry → slot.
-        let slots: Vec<Arc<DeltaSlot>> = self.delta_slots.lock().clone();
-        for slot in &slots {
-            for (se, b) in slot.drain_partition(pi) {
-                delta::apply_bucket(&mut part, se, &b);
-                self.metrics.inc(Metric::DeltaMerges);
-            }
         }
         let epoch = part.epoch;
         let lag = part.ops_since_close;
@@ -1029,54 +951,6 @@ impl std::fmt::Debug for VerifiedMemory {
             .field("pages", &self.page_count())
             .field("partitions", &self.parts.len())
             .field("poisoned", &self.poisoned.lock().is_some())
-            .finish()
-    }
-}
-
-/// A worker's handle for shared-nothing verified execution
-/// ([`VerifiedMemory::delta_handle`]): a private digest-delta slot plus a
-/// private timestamp-block allocator. One per worker per morsel is the
-/// intended granularity — allocate at morsel claim, drop (= merge) at
-/// morsel completion. The handle is `Send`, so it can ride inside a
-/// scan/cursor that migrates between pool threads.
-pub struct DeltaHandle {
-    mem: Arc<VerifiedMemory>,
-    pub(crate) slot: Arc<DeltaSlot>,
-    pub(crate) ts: TsAlloc,
-}
-
-impl DeltaHandle {
-    /// Merge all accumulated folds into their partitions now. The handle
-    /// stays usable; remaining block timestamps stay reserved.
-    pub fn merge(&mut self) {
-        self.mem.merge_slot(&self.slot);
-    }
-
-    /// Whether any folds are pending (un-merged).
-    pub fn is_pending(&self) -> bool {
-        !self.slot.is_empty()
-    }
-}
-
-impl Drop for DeltaHandle {
-    fn drop(&mut self) {
-        // Merge the remainder, then deregister the slot. An epoch close
-        // that raced us may have drained it already — merge_slot on an
-        // empty slot is a no-op per partition list, so this is safe either
-        // way. Abandoned timestamps in the block remainder were never
-        // folded and are never re-issued, so no digest references them.
-        self.mem.merge_slot(&self.slot);
-        self.mem
-            .delta_slots
-            .lock()
-            .retain(|s| !Arc::ptr_eq(s, &self.slot));
-    }
-}
-
-impl std::fmt::Debug for DeltaHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeltaHandle")
-            .field("pending", &self.is_pending())
             .finish()
     }
 }
@@ -1452,31 +1326,25 @@ mod tests {
         m.delete(at(p1, s1[2])).unwrap();
         // A batch, its repeat, then a point read of one of its cells.
         let live = [s1[0], s1[1], s1[3], s1[4], s1[5]];
-        m.read_page_batch(p1, &live, &mut batch, None).unwrap();
-        m.read_page_batch(p1, &live, &mut batch, None).unwrap();
+        m.read_page_batch(p1, &live, &mut batch).unwrap();
+        m.read_page_batch(p1, &live, &mut batch).unwrap();
         m.read(at(p1, s1[4])).unwrap();
         // Overlapping batches around point ops.
-        m.read_page_batch(p1, &[s1[0], s1[1], s1[3]], &mut batch, None)
+        m.read_page_batch(p1, &[s1[0], s1[1], s1[3]], &mut batch)
             .unwrap();
-        m.read_page_batch(p1, &[s1[1], s1[3], s1[4]], &mut batch, None)
+        m.read_page_batch(p1, &[s1[1], s1[3], s1[4]], &mut batch)
             .unwrap();
         m.write(at(p1, s1[3]), b"one-3-updated").unwrap();
-        m.read_page_batch(p1, &[s1[0], s1[5]], &mut batch, None)
-            .unwrap();
+        m.read_page_batch(p1, &[s1[0], s1[5]], &mut batch).unwrap();
         m.delete(at(p1, s1[5])).unwrap();
         // Half a pass: partitions 0 and 1 close and page 2 is scanned, so
         // its later ops route to `next`.
         m.scan_step().unwrap();
         m.scan_step().unwrap();
         m.read(at(p1, s1[0])).unwrap();
-        let mut h = m.delta_handle();
-        m.read_page_batch(p2, &s2, &mut batch, Some(&mut h))
-            .unwrap();
-        m.read_page_batch(p2, &s2, &mut batch, Some(&mut h))
-            .unwrap();
-        m.read_page_batch(p2, &s2[2..5], &mut batch, Some(&mut h))
-            .unwrap();
-        drop(h);
+        m.read_page_batch(p2, &s2, &mut batch).unwrap();
+        m.read_page_batch(p2, &s2, &mut batch).unwrap();
+        m.read_page_batch(p2, &s2[2..5], &mut batch).unwrap();
         m.write(at(p2, s2[3]), b"two-3-updated").unwrap();
         m.read(at(p2, s2[0])).unwrap();
         // Fill page 3, punch two holes, and insert into a reused slot
@@ -1528,28 +1396,28 @@ mod tests {
         let rsws = [
             "p1 e1 ops1 cur ace7fc6a08b07fff b508cdfc497bd1f8 next 0 0",
             "p1 meta_cur 0 0 meta_next 0 0",
-            "p2 e0 ops23 cur 082b719caf7a3e35 082b719caf7a3e35 next d80b45b38d829255 280885687c57d24e",
+            "p2 e0 ops23 cur 082b719caf7a3e35 082b719caf7a3e35 next d80b45b38d829255 974cf1904a694282",
             "p2 meta_cur 0 0 meta_next 0 0",
-            "p3 e0 ops11 cur 66275345ad298765 3bb300e12d056266 next 0 0",
+            "p3 e0 ops11 cur f0edb47c814b328b b206dc921ad6a9b2 next 0 0",
             "p3 meta_cur 0 0 meta_next 0 0",
             "prf_evals 115",
         ];
         let meta = [
             "p1 e1 ops1 cur 5c7e0c51068a5ebc 61d73eb641533419 next 0 0",
             "p1 meta_cur 4886cbae2132893c b1d58290f0e4af09 meta_next 0 0",
-            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next 104eb4184c08519b 1a56eeed4cf52b32",
-            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next 111817d24364ecd9 9579dcc90f2929c4",
-            "p3 e0 ops11 cur e990c88199690003 e0a60d2ebb48fa0f next 0 0",
-            "p3 meta_cur 5c7192182dba2c86 a6732ddf87547428 meta_next 0 0",
+            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next 104eb4184c08519b 1214c89afcc83b7c",
+            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next 111817d24364ecd9 b5e5f27f8664973a",
+            "p3 e0 ops11 cur b103f8d4cf126b11 e6bd2b8d7d217edb next 0 0",
+            "p3 meta_cur 9f769daeba07b307 c93cac692c2d14a1 meta_next 0 0",
             "prf_evals 257",
         ];
         let eager_meta = [
             "p1 e1 ops1 cur 3e8acc82fa10a724 339c0d3a287f1e87 next 0 0",
             "p1 meta_cur 89ccd38ec438fe3b 074094657151e7ff meta_next 0 0",
-            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next b841ffe4e87154c4 9611d9f3df080ee1",
-            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next bc2dba0a9b45da06 8b5e9a196076a09d",
-            "p3 e0 ops11 cur 99d4e025da55e050 21fd6fb05ea475f4 next 0 0",
-            "p3 meta_cur 2797230064db0867 6bf5347be0dd9079 meta_next 0 0",
+            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next b841ffe4e87154c4 a8682b54432c76f4",
+            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next bc2dba0a9b45da06 7ed021d772127019",
+            "p3 e0 ops11 cur 2f1e42da81267629 8db310c2b898d12f next 0 0",
+            "p3 meta_cur acfd392911bd199d 821f34f2eecc7c1b meta_next 0 0",
             "prf_evals 325",
         ];
         for ((verify_metadata, eager), rest) in [
@@ -1573,7 +1441,7 @@ mod tests {
             .collect();
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(p, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(p, &slots, &mut batch).unwrap();
         assert_eq!(batch.len(), addrs.len());
         for (i, (slot, data)) in batch.iter().enumerate() {
             assert_eq!(slot, addrs[i].slot);
@@ -1584,9 +1452,9 @@ mod tests {
         for a in &addrs {
             m.read(*a).unwrap();
         }
-        m.read_page_batch(p, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(p, &slots, &mut batch).unwrap();
         m.verify_now().unwrap();
-        m.read_page_batch(p, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(p, &slots, &mut batch).unwrap();
         m.verify_now().unwrap();
     }
 
@@ -1601,14 +1469,14 @@ mod tests {
         m.delete(addrs[4]).unwrap();
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(p, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(p, &slots, &mut batch).unwrap();
         let got: Vec<SlotId> = batch.iter().map(|(s, _)| s).collect();
         let want: Vec<SlotId> = [0usize, 1, 3, 5].iter().map(|&i| addrs[i].slot).collect();
         assert_eq!(got, want, "dead slots are skipped, order preserved");
         // Nothing was folded for the dead slots: digests still balance.
         m.verify_now().unwrap();
         // An all-dead request is an empty (but successful) batch.
-        m.read_page_batch(p, &[addrs[2].slot, addrs[4].slot], &mut batch, None)
+        m.read_page_batch(p, &[addrs[2].slot, addrs[4].slot], &mut batch)
             .unwrap();
         assert!(batch.is_empty());
         m.verify_now().unwrap();
@@ -1624,7 +1492,7 @@ mod tests {
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
         for _ in 0..3 {
-            m.read_page_batch(p, &slots, &mut batch, None).unwrap();
+            m.read_page_batch(p, &slots, &mut batch).unwrap();
             assert_eq!(batch.len(), 5);
         }
         m.verify_now().unwrap();
@@ -1635,14 +1503,14 @@ mod tests {
         let m = mem();
         let mut batch = ReadBatch::new();
         assert!(matches!(
-            m.read_page_batch(999, &[0], &mut batch, None),
+            m.read_page_batch(999, &[0], &mut batch),
             Err(Error::PageNotFound(999))
         ));
         m.verify_now().unwrap();
     }
 
     #[test]
-    fn point_ops_dissolve_group_and_verify() {
+    fn point_ops_after_batch_read_verify() {
         let m = mem();
         let p = m.allocate_page();
         let addrs: Vec<CellAddr> = (0..6)
@@ -1650,14 +1518,14 @@ mod tests {
             .collect();
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(p, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(p, &slots, &mut batch).unwrap();
         // Each point primitive consumes the element the batch re-inserted.
         assert_eq!(m.read(addrs[0]).unwrap(), b"g0");
         m.write(addrs[1], b"g1-updated").unwrap();
         m.delete(addrs[2]).unwrap();
         m.verify_now().unwrap();
         // And the survivors are still readable through both paths.
-        m.read_page_batch(p, &[addrs[3].slot, addrs[4].slot], &mut batch, None)
+        m.read_page_batch(p, &[addrs[3].slot, addrs[4].slot], &mut batch)
             .unwrap();
         assert_eq!(m.read(addrs[5]).unwrap(), b"g5");
         m.verify_now().unwrap();
@@ -1673,13 +1541,10 @@ mod tests {
         let mut batch = ReadBatch::new();
         // Read the first half, then a window straddling cells read and
         // not read, then a strict subset of that window.
-        m.read_page_batch(p, &slots[0..4], &mut batch, None)
-            .unwrap();
-        m.read_page_batch(p, &slots[2..6], &mut batch, None)
-            .unwrap();
+        m.read_page_batch(p, &slots[0..4], &mut batch).unwrap();
+        m.read_page_batch(p, &slots[2..6], &mut batch).unwrap();
         assert_eq!(batch.len(), 4);
-        m.read_page_batch(p, &slots[3..4], &mut batch, None)
-            .unwrap();
+        m.read_page_batch(p, &slots[3..4], &mut batch).unwrap();
         assert_eq!(batch.len(), 1);
         m.verify_now().unwrap();
     }
@@ -1692,7 +1557,7 @@ mod tests {
             let a = m.insert_in(p, b"once").unwrap();
             let b = m.insert_in(p, b"twice").unwrap();
             let mut batch = ReadBatch::new();
-            m.read_page_batch(p, &[a.slot, b.slot, a.slot, a.slot], &mut batch, None)
+            m.read_page_batch(p, &[a.slot, b.slot, a.slot, a.slot], &mut batch)
                 .unwrap();
             let got: Vec<(SlotId, &[u8])> = batch.iter().collect();
             let want: [(SlotId, &[u8]); 2] = [(a.slot, b"once"), (b.slot, b"twice")];
@@ -1702,16 +1567,16 @@ mod tests {
     }
 
     #[test]
-    fn groups_survive_compaction() {
+    fn batch_read_cells_survive_compaction() {
         let m = mem();
         let p = m.allocate_page();
         let addrs: Vec<CellAddr> = (0..7)
             .map(|_| m.insert_in(p, &[0x42; 100]).unwrap())
             .collect();
         // Batch-read the tail cells, then punch holes in front of them.
-        let grouped: Vec<SlotId> = addrs[3..].iter().map(|a| a.slot).collect();
+        let tail: Vec<SlotId> = addrs[3..].iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(p, &grouped, &mut batch, None).unwrap();
+        m.read_page_batch(p, &tail, &mut batch).unwrap();
         m.delete(addrs[0]).unwrap();
         m.delete(addrs[1]).unwrap();
         m.delete(addrs[2]).unwrap();
@@ -1719,13 +1584,13 @@ mod tests {
         // are preserved, so every cell's element stays recomputable.
         let big = m.insert_in(p, &[0x77; 300]).unwrap();
         assert_eq!(m.read(big).unwrap(), vec![0x77; 300]);
-        m.read_page_batch(p, &grouped, &mut batch, None).unwrap();
-        assert_eq!(batch.len(), grouped.len());
+        m.read_page_batch(p, &tail, &mut batch).unwrap();
+        assert_eq!(batch.len(), tail.len());
         m.verify_now().unwrap();
     }
 
     #[test]
-    fn grouped_batches_verify_with_metadata_mode() {
+    fn repeated_batches_verify_with_metadata_mode() {
         let m = mem_with(|c| c.verify_metadata = true);
         let p = m.allocate_page();
         let slots: Vec<SlotId> = (0..6)
@@ -1733,7 +1598,7 @@ mod tests {
             .collect();
         let mut batch = ReadBatch::new();
         for _ in 0..3 {
-            m.read_page_batch(p, &slots, &mut batch, None).unwrap();
+            m.read_page_batch(p, &slots, &mut batch).unwrap();
         }
         m.write(
             CellAddr {
@@ -1798,7 +1663,7 @@ mod tests {
                 while stop.load(Ordering::Relaxed) == 0 {
                     let (page, addrs) = &by_page[i % by_page.len()];
                     let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
-                    m.read_page_batch(*page, &slots, &mut batch, None).unwrap();
+                    m.read_page_batch(*page, &slots, &mut batch).unwrap();
                     assert_eq!(batch.len(), slots.len());
                     i += 5;
                 }
@@ -1814,179 +1679,6 @@ mod tests {
             h.join().unwrap();
         }
         assert!(v.stop().is_none(), "honest run must not alarm");
-        m.verify_now().unwrap();
-        assert!(m.poisoned().is_none());
-    }
-
-    // ---- shared-nothing delta handles --------------------------------------
-
-    #[test]
-    fn delta_batched_reads_match_direct_folds_and_verify() {
-        let m = mem();
-        let p = m.allocate_page();
-        let slots: Vec<SlotId> = (0..8)
-            .map(|i| m.insert_in(p, format!("d{i}").as_bytes()).unwrap().slot)
-            .collect();
-        let mut batch = ReadBatch::new();
-        let mut h = m.delta_handle();
-        for _ in 0..3 {
-            m.read_page_batch(p, &slots, &mut batch, Some(&mut h))
-                .unwrap();
-            assert_eq!(batch.len(), 8);
-        }
-        assert!(h.is_pending());
-        h.merge();
-        assert!(!h.is_pending());
-        // Interleave with the shared path and a point read: the merged
-        // folds must be indistinguishable from direct ones.
-        m.read_page_batch(p, &slots, &mut batch, None).unwrap();
-        m.read(CellAddr {
-            page: p,
-            slot: slots[0],
-        })
-        .unwrap();
-        m.verify_now().unwrap();
-    }
-
-    #[test]
-    fn dropping_delta_handle_merges_remainder() {
-        let m = mem();
-        let p = m.allocate_page();
-        let slots: Vec<SlotId> = (0..4)
-            .map(|i| m.insert_in(p, format!("r{i}").as_bytes()).unwrap().slot)
-            .collect();
-        let mut batch = ReadBatch::new();
-        {
-            let mut h = m.delta_handle();
-            m.read_page_batch(p, &slots, &mut batch, Some(&mut h))
-                .unwrap();
-            assert!(h.is_pending());
-            // Dropped without an explicit merge: Drop must fold the
-            // remainder in, or the close below cannot balance.
-        }
-        m.verify_now().unwrap();
-    }
-
-    #[test]
-    fn epoch_close_drains_live_delta_slots() {
-        let m = mem();
-        let p = m.allocate_page();
-        let slots: Vec<SlotId> = (0..4)
-            .map(|i| m.insert_in(p, format!("e{i}").as_bytes()).unwrap().slot)
-            .collect();
-        let mut batch = ReadBatch::new();
-        let mut h = m.delta_handle();
-        m.read_page_batch(p, &slots, &mut batch, Some(&mut h))
-            .unwrap();
-        assert!(h.is_pending());
-        // The handle is live and unmerged: the close must drain its
-        // registered slot or `h(RS) ≠ h(WS)`.
-        m.verify_now().unwrap();
-        assert!(!h.is_pending(), "close drained the slot");
-        // The handle keeps working after a drain.
-        m.read_page_batch(p, &slots, &mut batch, Some(&mut h))
-            .unwrap();
-        drop(h);
-        m.verify_now().unwrap();
-    }
-
-    #[test]
-    fn tamper_under_delta_reader_is_detected() {
-        let m = mem();
-        let p = m.allocate_page();
-        let addrs: Vec<CellAddr> = (0..4)
-            .map(|i| m.insert_in(p, format!("t{i}").as_bytes()).unwrap())
-            .collect();
-        let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
-        let mut batch = ReadBatch::new();
-        let mut h = m.delta_handle();
-        m.read_page_batch(p, &slots, &mut batch, Some(&mut h))
-            .unwrap();
-        crate::tamper::overwrite_cell(&m, addrs[2], b"ev").unwrap();
-        drop(h);
-        assert!(m.verify_now().is_err(), "forged cell must break the close");
-        assert!(m.poisoned().is_some());
-    }
-
-    #[test]
-    fn delta_counters_record_merges_and_blocks() {
-        let m = mem();
-        let p = m.allocate_page();
-        let slots: Vec<SlotId> = (0..6)
-            .map(|i| m.insert_in(p, format!("c{i}").as_bytes()).unwrap().slot)
-            .collect();
-        let mut batch = ReadBatch::new();
-        let mut h = m.delta_handle();
-        m.read_page_batch(p, &slots, &mut batch, Some(&mut h))
-            .unwrap();
-        h.merge();
-        let met = m.metrics();
-        assert!(met.get(Metric::DeltaMerges) >= 1, "merge must be counted");
-        assert!(
-            met.get(Metric::TsBlocksAllocated) >= 1,
-            "delta timestamps come from blocks"
-        );
-        m.verify_now().unwrap();
-    }
-
-    /// Per-worker delta handles racing the verification scanner: the
-    /// shared-nothing path must produce the same always-balancing epochs
-    /// the serial fold does (the tentpole's correctness claim).
-    #[test]
-    fn threaded_delta_readers_race_scan_and_stay_consistent() {
-        let m = mem_with(|c| c.rsws_partitions = 8);
-        let pages: Vec<u64> = (0..8).map(|_| m.allocate_page()).collect();
-        let mut by_page: Vec<(u64, Vec<SlotId>)> = Vec::new();
-        for &p in &pages {
-            let slots = (0..6)
-                .map(|j| {
-                    m.insert_in(p, format!("sn-{p}-{j}").as_bytes())
-                        .unwrap()
-                        .slot
-                })
-                .collect();
-            by_page.push((p, slots));
-        }
-        let stop = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let m = Arc::clone(&m);
-            let by_page = by_page.clone();
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut h = m.delta_handle();
-                let mut batch = ReadBatch::new();
-                let mut i = t;
-                while stop.load(Ordering::Relaxed) == 0 {
-                    let (page, slots) = &by_page[i % by_page.len()];
-                    m.read_page_batch(*page, slots, &mut batch, Some(&mut h))
-                        .unwrap();
-                    assert_eq!(batch.len(), slots.len());
-                    if i % 17 == 0 {
-                        h.merge(); // periodic morsel-completion merge
-                    }
-                    i += 5;
-                }
-            }));
-        }
-        let scanner = {
-            let m = Arc::clone(&m);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while stop.load(Ordering::Relaxed) == 0 {
-                    m.scan_step().unwrap();
-                }
-            })
-        };
-        let _ = veridb_common::backoff::Backoff::wait_for(
-            || m.metrics().get(Metric::BatchedReadCells) >= 5_000,
-            2_000,
-        );
-        stop.store(1, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-        scanner.join().unwrap();
         m.verify_now().unwrap();
         assert!(m.poisoned().is_none());
     }
@@ -2136,7 +1828,6 @@ mod proptests {
     fn batch_reads_cost_two_prfs_per_distinct_live_cell() {
         check(48, |rng| {
             let verify_metadata = rng.gen_bool(0.5);
-            let use_delta = rng.gen_bool(0.5);
             let ops = rng.vec(0..60, arb_batch_op);
             let enclave = Enclave::create("batch-prop", 1 << 22, [5u8; 32]);
             let m = VerifiedMemory::new(
@@ -2158,7 +1849,6 @@ mod proptests {
                     model.push((m.insert_in(p, &data).unwrap(), data));
                 }
             }
-            let mut h = use_delta.then(|| m.delta_handle());
             let mut batch = ReadBatch::new();
             for op in ops {
                 match op {
@@ -2174,8 +1864,7 @@ mod proptests {
                             }
                         }
                         let before = m.metrics().get(Metric::PrfEvals);
-                        m.read_page_batch(page, &slots, &mut batch, h.as_mut())
-                            .unwrap();
+                        m.read_page_batch(page, &slots, &mut batch).unwrap();
                         let spent = m.metrics().get(Metric::PrfEvals) - before;
                         let per_cell = if verify_metadata { 4 } else { 2 };
                         assert_eq!(spent, per_cell * want.len() as u64);
@@ -2206,7 +1895,6 @@ mod proptests {
                     _ => {}
                 }
             }
-            drop(h);
             m.verify_now().unwrap();
         });
     }

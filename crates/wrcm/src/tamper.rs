@@ -206,7 +206,7 @@ mod tests {
         // optimistic)...
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(page, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(page, &slots, &mut batch).unwrap();
         assert_eq!(batch.get(3).unwrap().1, b"forged!!!");
         // ...but it folded PRF(forged bytes, stale ts) into h(RS), which no
         // write ever produced: the epoch close must alarm.
@@ -226,7 +226,7 @@ mod tests {
         m.write(a, b"v2").unwrap();
         replay_cell(&m, a, &old, ts).unwrap();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(page, &[a.slot, b.slot], &mut batch, None)
+        m.read_page_batch(page, &[a.slot, b.slot], &mut batch)
             .unwrap();
         assert_eq!(batch.get(0).unwrap().1, b"v1", "stale value served");
         assert!(
@@ -249,12 +249,12 @@ mod tests {
             .collect();
         let slots: Vec<_> = addrs.iter().map(|a| a.slot).collect();
         let mut batch = ReadBatch::new();
-        m.read_page_batch(page, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(page, &slots, &mut batch).unwrap();
         let (d1, t1) = snapshot_cell(&m, addrs[1]).unwrap();
         let (d2, t2) = snapshot_cell(&m, addrs[2]).unwrap();
         replay_cell(&m, addrs[1], &d2, t2).unwrap();
         replay_cell(&m, addrs[2], &d1, t1).unwrap();
-        m.read_page_batch(page, &slots, &mut batch, None).unwrap();
+        m.read_page_batch(page, &slots, &mut batch).unwrap();
         assert_eq!(batch.get(1).unwrap().1, b"cell-2", "swapped value served");
         let err = m.verify_now().unwrap_err();
         assert!(matches!(err, Error::VerificationFailed { .. }));

@@ -98,25 +98,14 @@ fn parallel_region_metrics_are_recorded() {
     );
 }
 
-/// The shared-nothing machinery must actually engage under parallel
-/// scans: workers claim morsels, their cursors fold through thread-local
-/// delta slots, and timestamps come from per-worker blocks.
+/// Parallel scans actually spread over the pool: every dispatched
+/// morsel is claimed by some worker.
 #[test]
-fn shared_nothing_counters_engage_at_8_workers() {
+fn morsel_claims_engage_at_8_workers() {
     let db = tpch_db(8);
     let before = db.metrics();
     db.sql("SELECT COUNT(*) FROM lineitem").unwrap();
     let delta = db.metrics().since(&before);
-    assert!(
-        delta.get(Metric::DeltaMerges) > 0,
-        "worker cursors must merge thread-local digest deltas (got {})",
-        delta.get(Metric::DeltaMerges)
-    );
-    assert!(
-        delta.get(Metric::TsBlocksAllocated) > 0,
-        "delta timestamps must come from blocks (got {})",
-        delta.get(Metric::TsBlocksAllocated)
-    );
     let claims: u64 = (0..veridb_common::obs::MAX_TRACKED_WORKERS)
         .map(|w| delta.get_at(Metric::WorkerMorsels, w))
         .sum();
@@ -125,7 +114,7 @@ fn shared_nothing_counters_engage_at_8_workers() {
         "every dispatched morsel is claimed by some worker ({claims} of {})",
         delta.get(Metric::MorselsDispatched)
     );
-    // The merged deltas are byte-identical to serial folds, so the epoch
+    // The workers' batched reads folded like serial ones, so the epoch
     // still balances.
     db.verify_now().unwrap();
 }
