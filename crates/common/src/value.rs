@@ -41,7 +41,7 @@ impl fmt::Display for ColumnType {
 }
 
 /// A single SQL scalar value.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Value {
     /// SQL NULL. Sorts before every non-null value.
     Null,
@@ -54,6 +54,27 @@ pub enum Value {
     /// Days since the Unix epoch. Kept distinct from `Int` so date literals
     /// (`DATE '1994-01-01'`) compare only against date columns.
     Date(i32),
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Self {
+        match self {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Str(s) => Value::Str(s.clone()),
+            Value::Date(d) => Value::Date(*d),
+        }
+    }
+
+    /// A string copied over a string reuses the destination's buffer, so a
+    /// key buffer overwritten row after row does not allocate per row.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Value::Str(dst), Value::Str(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 /// Fixed rank used to order values of different types; within a rank the

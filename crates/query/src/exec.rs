@@ -900,6 +900,18 @@ impl AggregateOp {
     }
 }
 
+/// Feed one input row's aggregate arguments into a group's states.
+fn feed(states: &mut [AggState], aggs: &[(AggFunc, Option<Expr>)], row: &Row) -> Result<()> {
+    for (state, (_, arg)) in states.iter_mut().zip(aggs) {
+        let v = match arg {
+            Some(e) => Some(eval(e, row)?),
+            None => None,
+        };
+        state.feed(v)?;
+    }
+    Ok(())
+}
+
 /// Grouped aggregation state accumulated over one input partition:
 /// per-group running [`AggState`]s plus first-seen group order. The serial
 /// [`AggregateOp`] uses a single instance; the parallel aggregation path
@@ -920,23 +932,26 @@ impl GroupedPartial {
         group: &[Expr],
         aggs: &[(AggFunc, Option<Expr>)],
     ) -> Result<()> {
+        // One key buffer for the whole input: each row's key is written
+        // over the previous one (a column's string reuses the buffer's
+        // capacity) and looked up by slice, so only a new group allocates.
+        let mut key = vec![Value::Null; group.len()];
         while let Some(row) = input.next()? {
-            let key: Vec<Value> = group.iter().map(|g| eval(g, &row)).collect::<Result<_>>()?;
-            let states = match self.groups.get_mut(&key) {
-                Some(s) => s,
-                None => {
-                    self.order.push(key.clone());
-                    self.groups
-                        .entry(key.clone())
-                        .or_insert_with(|| aggs.iter().map(|(f, _)| AggState::new(*f)).collect())
+            for (slot, g) in key.iter_mut().zip(group) {
+                match g {
+                    Expr::ColumnRef(i) if *i < row.len() => slot.clone_from(&row[*i]),
+                    _ => *slot = eval(g, &row)?,
                 }
-            };
-            for (state, (_, arg)) in states.iter_mut().zip(aggs) {
-                let v = match arg {
-                    Some(e) => Some(eval(e, &row)?),
-                    None => None,
-                };
-                state.feed(v)?;
+            }
+            match self.groups.get_mut(key.as_slice()) {
+                Some(states) => feed(states, aggs, &row)?,
+                None => {
+                    let mut states: Vec<AggState> =
+                        aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+                    feed(&mut states, aggs, &row)?;
+                    self.order.push(key.clone());
+                    self.groups.insert(key.clone(), states);
+                }
             }
         }
         Ok(())

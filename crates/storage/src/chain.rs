@@ -13,24 +13,32 @@ use std::cmp::Ordering;
 use veridb_common::codec::Reader;
 use veridb_common::{Error, Result, Value};
 
-/// A (possibly composite) concrete chain key.
+/// A (possibly composite) concrete chain key: the column value, then the
+/// primary key on secondary chains. Every chain key has one or two
+/// components, so both live inline; a decoded record's keys then cost no
+/// heap allocation unless a component is itself a string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CompositeKey(pub Vec<Value>);
+pub struct CompositeKey(Value, Option<Value>);
 
 impl CompositeKey {
     /// Single-component key.
     pub fn single(v: Value) -> Self {
-        CompositeKey(vec![v])
+        CompositeKey(v, None)
     }
 
     /// Two-component key (secondary chains: `(column value, primary key)`).
     pub fn pair(v: Value, pk: Value) -> Self {
-        CompositeKey(vec![v, pk])
+        CompositeKey(v, Some(pk))
     }
 
     /// The leading component (the column value).
     pub fn head(&self) -> &Value {
-        &self.0[0]
+        &self.0
+    }
+
+    /// The components in order.
+    fn components(&self) -> impl Iterator<Item = &Value> {
+        std::iter::once(&self.0).chain(&self.1)
     }
 }
 
@@ -43,31 +51,18 @@ impl PartialOrd for CompositeKey {
 impl Ord for CompositeKey {
     /// Lexicographic, with a strict prefix ordering *before* any extension:
     /// `(5) < (5, anything)`. This makes `(lo)` a lower bound for every
-    /// record whose column value is `lo`.
+    /// record whose column value is `lo`. `Option` orders `None` first,
+    /// which is exactly the prefix rule.
     fn cmp(&self, other: &Self) -> Ordering {
-        for (a, b) in self.0.iter().zip(other.0.iter()) {
-            match a.cmp(b) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        self.0.len().cmp(&other.0.len())
+        self.0.cmp(&other.0).then_with(|| self.1.cmp(&other.1))
     }
 }
 
 impl std::fmt::Display for CompositeKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.len() == 1 {
-            write!(f, "{}", self.0[0])
-        } else {
-            write!(f, "(")?;
-            for (i, v) in self.0.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ",")?;
-                }
-                write!(f, "{v}")?;
-            }
-            write!(f, ")")
+        match &self.1 {
+            None => write!(f, "{}", self.0),
+            Some(pk) => write!(f, "({},{pk})", self.0),
         }
     }
 }
@@ -136,8 +131,8 @@ impl ChainKey {
             ChainKey::NegInf => buf.push(1),
             ChainKey::Val(k) => {
                 buf.push(2);
-                buf.push(k.0.len() as u8);
-                for v in &k.0 {
+                buf.push(1 + k.1.is_some() as u8);
+                for v in k.components() {
                     v.encode(buf);
                 }
             }
@@ -151,15 +146,17 @@ impl ChainKey {
             0 => Ok(ChainKey::Absent),
             1 => Ok(ChainKey::NegInf),
             2 => {
-                let n = r.get_u8()? as usize;
-                if n == 0 || n > 8 {
+                let n = r.get_u8()?;
+                if n == 0 || n > 2 {
                     return Err(Error::Codec(format!("bad composite arity {n}")));
                 }
-                let mut vs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    vs.push(Value::decode(r)?);
-                }
-                Ok(ChainKey::Val(CompositeKey(vs)))
+                let head = Value::decode(r)?;
+                let pk = if n == 2 {
+                    Some(Value::decode(r)?)
+                } else {
+                    None
+                };
+                Ok(ChainKey::Val(CompositeKey(head, pk)))
             }
             3 => Ok(ChainKey::PosInf),
             t => Err(Error::Codec(format!("unknown chain key tag {t}"))),
@@ -196,6 +193,7 @@ impl std::fmt::Display for ChainKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use veridb_common::rng::{check, Rng};
 
     #[test]
     fn sentinel_ordering() {
@@ -240,6 +238,64 @@ mod tests {
         assert!(ChainKey::decode(&mut r).is_err());
         let mut r = Reader::new(&[9u8]);
         assert!(ChainKey::decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn encoding_is_pinned() {
+        // PRF inputs and pinned digests hash these bytes: tag 2, arity,
+        // then each component's canonical value encoding.
+        let mut buf = Vec::new();
+        ChainKey::val(Value::Int(42)).encode(&mut buf);
+        assert_eq!(buf, [2, 1, 1, 42, 0, 0, 0, 0, 0, 0, 0]);
+        buf.clear();
+        ChainKey::pair(Value::Date(9000), Value::Int(7)).encode(&mut buf);
+        assert_eq!(
+            buf,
+            [2, 2, 4, 0x28, 0x23, 0, 0, 0, 0, 0, 0, 1, 7, 0, 0, 0, 0, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn decode_rejects_arity_zero_and_three() {
+        let mut three = vec![2u8, 3];
+        for v in [1, 2, 3] {
+            Value::Int(v).encode(&mut three);
+        }
+        for bytes in [vec![2u8, 0], three] {
+            let err = ChainKey::decode(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "{err:?}");
+        }
+    }
+
+    fn component(rng: &mut Rng) -> Value {
+        match rng.gen_range(0..4u64) {
+            0 => Value::Null,
+            1 => Value::Int(rng.gen_range(0..3i64)),
+            2 => Value::Date(rng.gen_range(0..3i32)),
+            _ => Value::Str(rng.string("ab", 0..3)),
+        }
+    }
+
+    fn key(rng: &mut Rng) -> CompositeKey {
+        let head = component(rng);
+        if rng.gen_bool(0.5) {
+            CompositeKey::single(head)
+        } else {
+            CompositeKey::pair(head, component(rng))
+        }
+    }
+
+    #[test]
+    fn inline_order_is_lexicographic_with_prefix_first() {
+        check(512, |rng| {
+            let (a, b) = (key(rng), key(rng));
+            // The rule as stated over component lists: slice order is
+            // lexicographic, and a strict prefix sorts first.
+            let (ca, cb): (Vec<&Value>, Vec<&Value>) =
+                (a.components().collect(), b.components().collect());
+            assert_eq!(a.cmp(&b), ca.cmp(&cb), "{a} vs {b}");
+            assert_eq!(a == b, ca == cb, "{a} vs {b}");
+        });
     }
 
     #[test]

@@ -58,6 +58,12 @@ pub struct VerifiedScan {
     /// Reusable scratch for batched page reads (one flat buffer for the
     /// whole scan instead of a `Vec<u8>` per cell).
     scratch: ReadBatch,
+    /// Per-round buffers of the batched fast path, reused across rounds:
+    /// the decoded candidate records, the candidate indices sorted by
+    /// page, and the slots of one page's run.
+    recs: Vec<Option<StoredRecord>>,
+    order: Vec<usize>,
+    slots: Vec<SlotId>,
     /// Rounds served by the batched fast path (diagnostics for the
     /// batching benchmarks).
     batched_rounds: u64,
@@ -77,6 +83,9 @@ impl VerifiedScan {
             records_read: 0,
             ready: VecDeque::new(),
             scratch: ReadBatch::new(),
+            recs: Vec::new(),
+            order: Vec::new(),
+            slots: Vec::new(),
             batched_rounds: 0,
         }
     }
@@ -105,14 +114,8 @@ impl VerifiedScan {
     fn lo_key(&self) -> ChainKey {
         match &self.lo {
             Bound::Unbounded => ChainKey::NegInf,
-            Bound::Included(v) | Bound::Excluded(v) => {
-                if self.chain == 0 {
-                    ChainKey::val(v.clone())
-                } else {
-                    // Composite prefix (v) sorts below every (v, pk).
-                    ChainKey::Val(crate::chain::CompositeKey::single(v.clone()))
-                }
-            }
+            // On a secondary chain the prefix (v) sorts below every (v, pk).
+            Bound::Included(v) | Bound::Excluded(v) => ChainKey::val(v.clone()),
         }
     }
 
@@ -257,9 +260,10 @@ impl VerifiedScan {
         Err(last_err.expect("at least one attempt"))
     }
 
-    /// The record's column value, when it participates with a concrete key.
-    fn record_value(&self, rec: &StoredRecord) -> Option<Value> {
-        rec.key(self.chain).as_val().map(|k| k.head().clone())
+    /// Does a record keyed `key` carry a column value inside the bounds?
+    /// (Sentinels and non-participants carry none.)
+    fn emits(&self, key: &ChainKey) -> bool {
+        key.as_val().is_some_and(|k| self.value_in_bounds(k.head()))
     }
 
     /// Batched fast path: ask the untrusted index for the next run of
@@ -294,21 +298,23 @@ impl VerifiedScan {
         }
 
         // One verified batch read per distinct page, request order
-        // preserved within each page.
-        let mut recs: Vec<Option<StoredRecord>> = Vec::with_capacity(cands.len());
-        recs.resize_with(cands.len(), || None);
-        let mut by_page: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (i, (_, addr)) in cands.iter().enumerate() {
-            match by_page.iter_mut().find(|(p, _)| *p == addr.page) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_page.push((addr.page, vec![i])),
-            }
-        }
+        // preserved within each page: sort candidate indices by page, then
+        // read each run of equal pages. The buffers are the scan's own and
+        // keep their allocations across rounds.
+        self.recs.clear();
+        self.recs.resize_with(cands.len(), || None);
+        self.order.clear();
+        self.order.extend(0..cands.len());
+        self.order.sort_unstable_by_key(|&i| (cands[i].1.page, i));
         let mem = self.table.memory();
-        for (page, idxs) in &by_page {
-            let slots: Vec<SlotId> = idxs.iter().map(|&i| cands[i].1.slot).collect();
+        for run in self
+            .order
+            .chunk_by(|&a, &b| cands[a].1.page == cands[b].1.page)
+        {
+            self.slots.clear();
+            self.slots.extend(run.iter().map(|&i| cands[i].1.slot));
             if mem
-                .read_page_batch(*page, &slots, &mut self.scratch)
+                .read_page_batch(cands[run[0]].1.page, &self.slots, &mut self.scratch)
                 .is_err()
             {
                 continue; // stale page hint: those candidates stay None
@@ -316,7 +322,7 @@ impl VerifiedScan {
             // Entries come back in request order with dead slots skipped;
             // align them against the request by slot id.
             let mut p = 0;
-            for (&i, &slot) in idxs.iter().zip(&slots) {
+            for (&i, &slot) in run.iter().zip(&self.slots) {
                 match self.scratch.get(p) {
                     Some((got, bytes)) if got == slot => {
                         p += 1;
@@ -327,7 +333,7 @@ impl VerifiedScan {
                         // it and the per-record path retries (and raises
                         // the alarm itself if the damage persists).
                         if let Ok(rec) = StoredRecord::decode(bytes) {
-                            recs[i] = Some(rec);
+                            self.recs[i] = Some(rec);
                         }
                     }
                     _ => {} // dead slot: leave None for the fallback
@@ -343,24 +349,25 @@ impl VerifiedScan {
             if *key != expected {
                 break; // index enumeration diverges from the chain
             }
-            let Some(rec) = recs[i].take() else { break };
+            let Some(mut rec) = self.recs[i].take() else {
+                break;
+            };
             if rec.key(self.chain) != &expected {
                 break; // stale binding: record moved or was replaced
             }
             self.records_read += 1;
             verified += 1;
-            expected = rec.nkey(self.chain).clone();
-            self.expected = Some(expected.clone());
-            if let Some(v) = self.record_value(&rec) {
-                if self.value_in_bounds(&v) {
-                    self.ready.push_back(rec.row);
-                }
+            let emits = self.emits(&expected);
+            expected = rec.chains.swap_remove(self.chain).1;
+            if emits {
+                self.ready.push_back(rec.row);
             }
             if self.past_upper(&expected) {
                 break;
             }
         }
         if verified > 0 {
+            self.expected = Some(expected);
             // The last verified record's key is its candidate's key.
             self.prev = Some(cands[verified as usize - 1].0.clone());
             self.batched_rounds += 1;
@@ -384,7 +391,7 @@ impl Iterator for VerifiedScan {
             if let Some(row) = self.ready.pop_front() {
                 return Some(Ok(row));
             }
-            let rec = if !self.started {
+            let mut rec = if !self.started {
                 self.started = true;
                 match self.start() {
                     Ok(r) => r,
@@ -428,12 +435,12 @@ impl Iterator for VerifiedScan {
                     }
                 }
             };
-            self.expected = Some(rec.nkey(self.chain).clone());
-            self.prev = Some(rec.key(self.chain).clone());
-            if let Some(v) = self.record_value(&rec) {
-                if self.value_in_bounds(&v) {
-                    return Some(Ok(rec.row));
-                }
+            let (key, nkey) = rec.chains.swap_remove(self.chain);
+            let emits = self.emits(&key);
+            self.expected = Some(nkey);
+            self.prev = Some(key);
+            if emits {
+                return Some(Ok(rec.row));
             }
             // Evidence-only record (floor below the range, or a value
             // outside an excluded bound): keep walking.

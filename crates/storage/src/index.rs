@@ -107,12 +107,16 @@ impl IndexOracle for ChainIndex {
     }
 
     fn next_entries(&self, from: &ChainKey, limit: usize) -> Vec<(ChainKey, CellAddr)> {
-        self.map
-            .read()
-            .range((Bound::Included(from.clone()), Bound::Unbounded))
-            .take(limit)
-            .map(|(k, &a)| (k.clone(), a))
-            .collect()
+        // Sized up front: a range iterator gives no length hint, so
+        // `collect` would grow the list several times per round.
+        let map = self.map.read();
+        let mut out = Vec::with_capacity(limit.min(map.len()));
+        out.extend(
+            map.range((Bound::Included(from.clone()), Bound::Unbounded))
+                .take(limit)
+                .map(|(k, &a)| (k.clone(), a)),
+        );
+        out
     }
 }
 
