@@ -1,9 +1,9 @@
 //! Ablation studies for the design choices DESIGN.md calls out:
 //!
-//! 1. **PRF cost** — the HMAC-SHA-256 PRF against no verification, end to
-//!    end on the micro workload (§6.1 argues op cost is PRF-dominated and
-//!    anticipates hardware hashing; the row names the SHA-256 body that
-//!    ran, SHA-NI or portable).
+//! 1. **PRF cost** — the POLYVAL-then-AES PRF against no verification, end
+//!    to end on the micro workload (§6.1 argues op cost is PRF-dominated
+//!    and anticipates hardware hashing; the row names the PRF body that
+//!    ran, AES-NI + PCLMULQDQ or portable).
 //! 2. **Touched-page tracking** (§4.3) — verification-scan cost on a
 //!    large, mostly-cold database with and without the in-enclave
 //!    touched-page bitmap + cached digests.
@@ -72,12 +72,12 @@ fn prf_cost_ablation(scale: Scale) {
     let mut cfg = VeriDbConfig::rsws();
     cfg.verify_every_ops = None;
     let us = run_micro(cfg, &w);
-    let body = if veridb_common::sha256::hardware_accelerated() {
-        "SHA-NI"
+    let body = if veridb_wrcm::prf::hardware_accelerated() {
+        "AES-NI + PCLMULQDQ"
     } else {
         "portable"
     };
-    let name = format!("HMAC-SHA-256 ({body})");
+    let name = format!("POLYVAL-then-AES ({body})");
     t.row(vec![name, f2(us), format!("{:.2}x", us / base)]);
     t.note("§6.1: RS/WS cost is PRF-dominated; hardware hashing shrinks it");
     t.print();

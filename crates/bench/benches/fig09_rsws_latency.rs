@@ -103,10 +103,18 @@ fn main() {
             "rsws",
             "rsws+meta",
             "rsws-baseline (µs)",
+            "vs §6.1's 1.4-4.2 µs",
             "meta extra",
             "paper(base/rsws/meta)",
         ],
     );
+    // §6.1: "the overhead of verifiable read/write is consistently between
+    // 1.4–4.2 microseconds".
+    let band = |delta: f64| match delta {
+        d if d < 1.4 => "below",
+        d if d > 4.2 => "above",
+        _ => "inside",
+    };
     for op in ["Get", "Insert", "Delete", "Update"] {
         let b = baseline[op];
         let r = rsws[op];
@@ -118,6 +126,7 @@ fn main() {
             f2(r),
             f2(m),
             f2(r - b),
+            band(r - b).to_string(),
             format!("{:.0}%", (m - r) / (r - b).max(1e-9) * 100.0),
             format!("{:.1}/{:.1}/{:.1}", p.0, p.1, p.2),
         ]);

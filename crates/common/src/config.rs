@@ -8,12 +8,17 @@
 //! - Figure 10 sweeps `verify_every_ops` (one page scan per N operations).
 //! - Figure 13 sweeps `rsws_partitions`.
 
-/// The keyed PRF that backs the ReadSet/WriteSet digests.
+/// A leftover selector for the RS/WS PRF; it selects nothing.
+///
+/// The set digests have one PRF, POLYVAL then AES-128
+/// (`veridb_wrcm::prf`), and HMAC-SHA-256 no longer backs them. The type
+/// and its one variant stay only because the end-to-end benchmark under
+/// `wirebench/` names them (`PrfEngine::new(PrfBackend::HmacSha256, key)`
+/// and the `prf` field of a config literal); they go with the next change
+/// to that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrfBackend {
-    /// HMAC-SHA-256, matching the paper's security claims. Runs on the
-    /// CPU's SHA extensions where it has them (the hardware hashing the
-    /// paper's §6.1 discussion anticipates).
+    /// The one value; the name is historical.
     HmacSha256,
 }
 
@@ -45,7 +50,7 @@ pub struct VeriDbConfig {
     /// "Compact page during verification"). When false, deletes reclaim
     /// space eagerly (the expensive pre-optimization behaviour).
     pub compact_during_verification: bool,
-    /// PRF for the set digests; HMAC-SHA-256 is its one value.
+    /// Inert: see [`PrfBackend`].
     pub prf: PrfBackend,
     /// Per-query degree-of-parallelism cap for intra-query parallelism
     /// (morsel-driven scans, joins, aggregation) and for synchronous

@@ -188,6 +188,7 @@ registry! {
     PagesScanned: Counter, One, "enclave.pages_scanned", "Pages re-read by the verifier.";
     SimulatedCycles: Derived(simulated_cycles), One, "enclave.simulated_cycles", "Simulated cycles of every boundary crossing and EPC swap.";
     ShaHw: Gauge, One, "enclave.sha_hw", "1 when SHA-256 runs on the CPU's SHA extensions, 0 on the portable body.";
+    PrfHw: Gauge, One, "enclave.prf_hw", "1 when the RS/WS PRF runs on AES-NI and PCLMULQDQ, 0 on the portable body.";
 }
 
 fn simulated_cycles(s: &MetricsSnapshot) -> u64 {

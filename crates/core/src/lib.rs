@@ -130,6 +130,10 @@ impl VeriDb {
             Metric::ShaHw,
             u64::from(veridb_common::sha256::hardware_accelerated()),
         );
+        enclave.metrics().set(
+            Metric::PrfHw,
+            u64::from(veridb_wrcm::prf::hardware_accelerated()),
+        );
         let mem = VerifiedMemory::new(enclave.clone(), &config);
         let catalog = Arc::new(Catalog::new(Arc::clone(&mem)));
         let engine = Arc::new(QueryEngine::new(catalog));

@@ -69,7 +69,8 @@ impl DeltaBucket {
 
     /// Re-stamp `slots` of `page` with consecutive timestamps from `ts`:
     /// consume each cell's outstanding element, then insert it again
-    /// under its new timestamp.
+    /// under its new timestamp. One [`PrfEngine::tag_pair`] per cell
+    /// hashes its bytes once for both elements.
     pub fn restamp(
         &mut self,
         prf: &PrfEngine,
@@ -80,8 +81,16 @@ impl DeltaBucket {
     ) -> Result<()> {
         for (slot, ts_new) in slots.into_iter().zip(ts..) {
             let (data, ts_old) = page.read(slot)?;
-            self.consume(prf, page_id, slot, data, ts_old);
-            self.produce(prf, page_id, slot, data, ts_new);
+            let addr = CellAddr {
+                page: page_id,
+                slot,
+            }
+            .proto();
+            let (old, new) = prf.tag_pair(addr, KIND_DATA, data, ts_old, ts_new);
+            self.rs.fold(&old);
+            self.ws.fold(&new);
+            self.prf_evals += 2;
+            self.singletons += 1;
             page.set_ts(slot, ts_new)?;
         }
         Ok(())
@@ -131,9 +140,10 @@ pub(crate) fn apply_bucket(part: &mut PartitionState, se: u64, b: &DeltaBucket) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::DIGEST_LEN;
 
     fn d(b: u8) -> SetDigest {
-        SetDigest([b; 32])
+        SetDigest([b; DIGEST_LEN])
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! and self-inverse (folding the same element twice removes it, which is
 //! how a read "consumes" the matching write).
 //!
-//! The paper stores 64-byte digest arrays; we use 32 bytes (the natural
-//! HMAC-SHA-256 output), which already gives far more collision resistance
-//! than the protocol needs. The deviation is recorded in DESIGN.md.
+//! The paper stores 64-byte digest arrays; we use 16 bytes, one AES block
+//! (the PRF's output, see [`crate::prf`]), so a fold is one 128-bit XOR.
+//! The images never leave the enclave and the adversary learns only
+//! whether a pass balanced, so 128 bits bound a forgery near 2⁻¹²⁸ per
+//! attempt; the deviation and its argument are in DESIGN.md §2.
 
 /// Byte length of a set digest.
-pub const DIGEST_LEN: usize = 32;
+pub const DIGEST_LEN: usize = 16;
 
 /// An XOR-aggregated digest of a set of PRF images.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -24,9 +26,7 @@ impl SetDigest {
     /// Fold another digest in (add or remove an element — XOR is its own
     /// inverse).
     pub fn fold(&mut self, other: &SetDigest) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a ^= b;
-        }
+        self.0 = (u128::from_ne_bytes(self.0) ^ u128::from_ne_bytes(other.0)).to_ne_bytes();
     }
 
     /// `self XOR other` without mutation.
@@ -37,7 +37,7 @@ impl SetDigest {
 
     /// True for the empty-set digest.
     pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&b| b == 0)
+        u128::from_ne_bytes(self.0) == 0
     }
 
     /// Hex rendering for logs and evidence dumps.
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn hex_rendering() {
-        assert_eq!(SetDigest::ZERO.to_hex(), "0".repeat(64));
+        assert_eq!(SetDigest::ZERO.to_hex(), "0".repeat(2 * DIGEST_LEN));
         assert!(d(0xAB).to_hex().starts_with("abab"));
     }
 }

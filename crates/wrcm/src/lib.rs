@@ -13,7 +13,8 @@
 //!   drawn from the enclave's strictly increasing counter.
 //! - The enclave keeps two XOR-aggregated digests per partition:
 //!   `h(RS)` over all reads and `h(WS)` over all writes, where each
-//!   element's contribution is `PRF_k(addr ‖ kind ‖ ts ‖ data)`.
+//!   element's contribution is `PRF_k(addr ‖ kind ‖ data ‖ ts)`
+//!   (POLYVAL then AES-128, see [`prf`]).
 //! - A protected **Read** folds the observed `(addr, data, ts)` into
 //!   `h(RS)`, then *virtually writes back* the same data with a fresh
 //!   timestamp, folding `(addr, data, ts')` into `h(WS)` (Algorithm 1).

@@ -593,7 +593,7 @@ impl VerifiedMemory {
     /// - all PRF tags are computed under the page lock alone and
     ///   pre-combined (XOR) into one `DeltaBucket`, which commits like every
     ///   other op's: under the partition mutex, held for one epoch lookup
-    ///   plus two 32-byte folds, before the page lock is released.
+    ///   plus two 16-byte folds, before the page lock is released.
     ///
     /// Requested slots that are dead are skipped (nothing is folded for
     /// them, which is digest-neutral); callers detect skips by comparing
@@ -1394,30 +1394,30 @@ mod tests {
             "p0 meta_cur 0 0 meta_next 0 0",
         ];
         let rsws = [
-            "p1 e1 ops1 cur ace7fc6a08b07fff b508cdfc497bd1f8 next 0 0",
+            "p1 e1 ops1 cur 3a0051979867be2c 3f8981893c447701 next 0 0",
             "p1 meta_cur 0 0 meta_next 0 0",
-            "p2 e0 ops23 cur 082b719caf7a3e35 082b719caf7a3e35 next d80b45b38d829255 974cf1904a694282",
+            "p2 e0 ops23 cur 3390850ce2557bcb 3390850ce2557bcb next 49987fa91b3962a5 117b7b1593cb0196",
             "p2 meta_cur 0 0 meta_next 0 0",
-            "p3 e0 ops11 cur f0edb47c814b328b b206dc921ad6a9b2 next 0 0",
+            "p3 e0 ops11 cur 139224a486c568e1 b4fa8310691acfde next 0 0",
             "p3 meta_cur 0 0 meta_next 0 0",
             "prf_evals 115",
         ];
         let meta = [
-            "p1 e1 ops1 cur 5c7e0c51068a5ebc 61d73eb641533419 next 0 0",
-            "p1 meta_cur 4886cbae2132893c b1d58290f0e4af09 meta_next 0 0",
-            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next 104eb4184c08519b 1214c89afcc83b7c",
-            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next 111817d24364ecd9 b5e5f27f8664973a",
-            "p3 e0 ops11 cur b103f8d4cf126b11 e6bd2b8d7d217edb next 0 0",
-            "p3 meta_cur 9f769daeba07b307 c93cac692c2d14a1 meta_next 0 0",
+            "p1 e1 ops1 cur 64afdb1381574099 53e5c028804040a9 next 0 0",
+            "p1 meta_cur 5d274244ed9153f2 71cbea5f3673cff9 meta_next 0 0",
+            "p2 e0 ops23 cur 016aaccd1a5ff2f6 016aaccd1a5ff2f6 next e39f9f83ab0d9fad ab650ab98ea0a099",
+            "p2 meta_cur 7e63e1feb374e32b 7e63e1feb374e32b meta_next e5e7c15f9d37f750 993040edfde0159f",
+            "p3 e0 ops11 cur d56f5eb5591f827f 6dfee9ee154e89a2 next 0 0",
+            "p3 meta_cur 35c7886f09d824f6 aac9e6e5c52e2ce8 meta_next 0 0",
             "prf_evals 257",
         ];
         let eager_meta = [
-            "p1 e1 ops1 cur 3e8acc82fa10a724 339c0d3a287f1e87 next 0 0",
-            "p1 meta_cur 89ccd38ec438fe3b 074094657151e7ff meta_next 0 0",
-            "p2 e0 ops23 cur 2d9679bc316eb2c2 2d9679bc316eb2c2 next b841ffe4e87154c4 a8682b54432c76f4",
-            "p2 meta_cur f3bd66809b784faf f3bd66809b784faf meta_next bc2dba0a9b45da06 7ed021d772127019",
-            "p3 e0 ops11 cur 2f1e42da81267629 8db310c2b898d12f next 0 0",
-            "p3 meta_cur acfd392911bd199d 821f34f2eecc7c1b meta_next 0 0",
+            "p1 e1 ops1 cur f80d6dfe8b5aec83 af3930276f0b53a6 next 0 0",
+            "p1 meta_cur d46449e103c66f49 4b5e6233b109455c meta_next 0 0",
+            "p2 e0 ops23 cur 016aaccd1a5ff2f6 016aaccd1a5ff2f6 next 68e2cac41586f069 77d9d8814094fc22",
+            "p2 meta_cur 7e63e1feb374e32b 7e63e1feb374e32b meta_next 363bb320c1a930df 2b5415101e951f00",
+            "p3 e0 ops11 cur 1d56ca302543983e d24729d1202ab39c next 0 0",
+            "p3 meta_cur 03c9e462b3c2b69a 9787317d5526579d meta_next 0 0",
             "prf_evals 325",
         ];
         for ((verify_metadata, eager), rest) in [

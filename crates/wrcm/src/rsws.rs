@@ -247,9 +247,10 @@ impl Default for PartitionState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::DIGEST_LEN;
 
     fn d(b: u8) -> SetDigest {
-        SetDigest([b; 32])
+        SetDigest([b; DIGEST_LEN])
     }
 
     #[test]

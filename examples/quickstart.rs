@@ -6,7 +6,7 @@
 use veridb::{VeriDb, VeriDbConfig};
 
 fn main() -> veridb::Result<()> {
-    // Default configuration: 8 KiB pages, 16 RSWS partitions, HMAC-SHA-256
+    // Default configuration: 8 KiB pages, 16 RSWS partitions, POLYVAL-then-AES
     // digests, background verifier scanning one page per 1000 operations.
     let db = VeriDb::open(VeriDbConfig::default())?;
 

@@ -95,6 +95,12 @@ fn sha_hw_gauge_reports_the_sha256_body_after_open() {
 }
 
 #[test]
+fn prf_hw_gauge_reports_the_prf_body_after_open() {
+    let want = u64::from(veridb_wrcm::prf::hardware_accelerated());
+    assert_eq!(db().metrics().get(Metric::PrfHw), want);
+}
+
+#[test]
 fn replay_rejection_survives_watermark_eviction() {
     let db = db();
     db.sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
