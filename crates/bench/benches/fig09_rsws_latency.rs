@@ -13,12 +13,18 @@
 //! Baseline; excluding metadata cuts the RS/WS cost by ≈20%; Insert and
 //! Delete cost more than Get and Update (they splice the predecessor's
 //! nKey, adding digest updates).
+//!
+//! The three configs are measured in rounds: each round runs all three on
+//! fresh databases, the order rotating from round to round, and a
+//! config's cost is the median of its per-round ratios to that round's
+//! Baseline, with the quartiles beside it. Host drift then moves all
+//! three runs of a round together instead of landing on one config.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use veridb::{VeriDb, VeriDbConfig};
-use veridb_bench::{f2, scale_from_env, FigureTable, Scale};
+use veridb_bench::{f2, percentile, scale_from_env, FigureTable, Scale};
 use veridb_workloads::{MicroOp, MicroWorkload};
 
 fn workload(scale: Scale) -> MicroWorkload {
@@ -30,8 +36,8 @@ fn workload(scale: Scale) -> MicroWorkload {
 }
 
 /// Run the mixed stream against a fresh database, returning mean latency
-/// (µs) per op kind.
-fn run(cfg: VeriDbConfig, w: &MicroWorkload) -> BTreeMap<&'static str, f64> {
+/// (µs) per op kind. `obs` prints the run's metrics delta.
+fn run(cfg: VeriDbConfig, w: &MicroWorkload, obs: bool) -> BTreeMap<&'static str, f64> {
     let db = VeriDb::open(cfg).expect("open");
     db.sql("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)")
         .expect("ddl");
@@ -57,33 +63,50 @@ fn run(cfg: VeriDbConfig, w: &MicroWorkload) -> BTreeMap<&'static str, f64> {
     if db.config().verify_rsws {
         db.verify_now().expect("honest run verifies");
     }
-    println!("  obs Δ: {}", db.metrics().since(&before).summary_line());
+    if obs {
+        println!("  obs Δ: {}", db.metrics().since(&before).summary_line());
+    }
     let _ = Arc::strong_count(&table);
     sums.into_iter()
         .map(|(k, (s, n))| (k, s / n as f64 * 1e6))
         .collect()
 }
 
+/// Rounds of the three configs.
+const ROUNDS: usize = 9;
+
+/// 25th, 50th and 75th percentile.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    [0.25, 0.5, 0.75].map(|q| percentile(samples, q))
+}
+
 fn main() {
     let scale = scale_from_env();
     let w = workload(scale);
     println!(
-        "Figure 9 reproduction — initial pairs: {}, ops: {} (scale {scale:?})",
+        "Figure 9 reproduction — initial pairs: {}, ops: {}, {ROUNDS} rounds (scale {scale:?})",
         w.initial_pairs, w.operations
     );
 
-    let mut no_verify = VeriDbConfig::baseline();
-    no_verify.verify_every_ops = None;
-    let baseline = run(no_verify, &w);
-
-    let mut rsws_cfg = VeriDbConfig::rsws();
-    rsws_cfg.verify_every_ops = None; // Figure 9 isolates RS/WS cost; the
-                                      // verifier frequency is Figure 10.
-    let rsws = run(rsws_cfg, &w);
-
-    let mut meta_cfg = VeriDbConfig::rsws_with_metadata();
-    meta_cfg.verify_every_ops = None;
-    let rsws_meta = run(meta_cfg, &w);
+    // Figure 9 isolates RS/WS cost; the verifier frequency is Figure 10.
+    let mut configs = [
+        VeriDbConfig::baseline(),
+        VeriDbConfig::rsws(),
+        VeriDbConfig::rsws_with_metadata(),
+    ];
+    for cfg in &mut configs {
+        cfg.verify_every_ops = None;
+    }
+    // rounds[r][c]: config c's mean latency per op kind in round r.
+    let mut rounds: Vec<[BTreeMap<&'static str, f64>; 3]> = Vec::new();
+    for r in 0..ROUNDS {
+        let mut round: [BTreeMap<&'static str, f64>; 3] = Default::default();
+        for k in 0..3 {
+            let c = (r + k) % 3;
+            round[c] = run(configs[c].clone(), &w, r + 1 == ROUNDS);
+        }
+        rounds.push(round);
+    }
 
     // Approximate values digitized from the paper's Figure 9 (µs).
     let paper: BTreeMap<&str, (f64, f64, f64)> = [
@@ -96,12 +119,17 @@ fn main() {
     .collect();
 
     let mut t = FigureTable::new(
-        "Figure 9: op latency (µs) — Baseline / RSWS / RSWS w. metadata",
+        &format!(
+            "Figure 9: op latency (µs, medians of {ROUNDS} rounds) — \
+             Baseline / RSWS / RSWS w. metadata"
+        ),
         &[
             "op",
             "baseline",
             "rsws",
             "rsws+meta",
+            "rsws/base [q1, q3]",
+            "meta/base [q1, q3]",
             "rsws-baseline (µs)",
             "vs §6.1's 1.4-4.2 µs",
             "meta extra",
@@ -115,22 +143,34 @@ fn main() {
         d if d > 4.2 => "above",
         _ => "inside",
     };
+    let ratio = |[q1, q2, q3]: [f64; 3]| format!("{q2:.2} [{q1:.2}, {q3:.2}]");
     for op in ["Get", "Insert", "Delete", "Update"] {
-        let b = baseline[op];
-        let r = rsws[op];
-        let m = rsws_meta[op];
+        let per_round = |f: &dyn Fn(f64, f64, f64) -> f64| -> Vec<f64> {
+            rounds
+                .iter()
+                .map(|[b, r, m]| f(b[op], r[op], m[op]))
+                .collect()
+        };
+        let median = |f: &dyn Fn(f64, f64, f64) -> f64| percentile(&per_round(f), 0.5);
+        let delta = median(&|b, r, _| r - b);
         let p = paper[op];
         t.row(vec![
             op.to_string(),
-            f2(b),
-            f2(r),
-            f2(m),
-            f2(r - b),
-            band(r - b).to_string(),
-            format!("{:.0}%", (m - r) / (r - b).max(1e-9) * 100.0),
+            f2(median(&|b, _, _| b)),
+            f2(median(&|_, r, _| r)),
+            f2(median(&|_, _, m| m)),
+            ratio(quartiles(&per_round(&|b, r, _| r / b))),
+            ratio(quartiles(&per_round(&|b, _, m| m / b))),
+            f2(delta),
+            band(delta).to_string(),
+            format!(
+                "{:.0}%",
+                median(&|b, r, m| (m - r) / (r - b).max(1e-9)) * 100.0
+            ),
             format!("{:.1}/{:.1}/{:.1}", p.0, p.1, p.2),
         ]);
     }
+    t.note("ratios and differences are taken per round (one run of each config), then the median");
     t.note("paper claim: RSWS adds ~1.5-2.2 µs; metadata exclusion saves ~20% of RS/WS cost");
     t.note("Insert/Delete > Get/Update because chain splices add digest updates");
     t.print();

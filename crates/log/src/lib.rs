@@ -30,10 +30,7 @@ pub mod record;
 pub mod store;
 pub mod wal;
 
-pub use record::{
-    scan_records, LogRecord, GENESIS_MAC, KIND_CREATE_TABLE, KIND_DELETE, KIND_DROP_TABLE,
-    KIND_INSERT, KIND_UPDATE, MAX_RECORD_BYTES,
-};
+pub use record::{scan_records, LogRecord, GENESIS_MAC, MAX_RECORD_BYTES};
 pub use store::{
     decode_snapshot, encode_snapshot, EpochStore, Manifest, TableSnapshot, TrustedCounter,
 };

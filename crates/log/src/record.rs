@@ -23,16 +23,10 @@ use veridb_common::crc::crc32;
 use veridb_common::{Error, Result};
 use veridb_enclave::mac::{Mac, MacKey, MAC_LEN};
 
-/// Record kind: `CREATE TABLE`.
-pub const KIND_CREATE_TABLE: u8 = 1;
-/// Record kind: `DROP TABLE`.
-pub const KIND_DROP_TABLE: u8 = 2;
-/// Record kind: `INSERT`.
-pub const KIND_INSERT: u8 = 3;
-/// Record kind: `UPDATE`.
-pub const KIND_UPDATE: u8 = 4;
-/// Record kind: `DELETE`.
-pub const KIND_DELETE: u8 = 5;
+/// A kind byte for the tests: `veridb_query::stmt_kind::INSERT`. Any
+/// byte round-trips, since the log never interprets kinds.
+#[cfg(test)]
+pub(crate) const KIND_INSERT: u8 = 3;
 
 /// Ceiling on one framed record body; anything larger in a length header
 /// is treated as corruption, bounding allocation on hostile input.
@@ -55,7 +49,8 @@ pub struct LogRecord {
     /// the restarted enclave's counter past the max so endorsement
     /// sequence numbers never repeat.
     pub seq_high_water: u64,
-    /// One of the `KIND_*` constants.
+    /// The statement kind, one of the engine's `veridb_query::stmt_kind`
+    /// values. The log stores and MACs it but never interprets it.
     pub kind: u8,
     /// The committed SQL statement, verbatim.
     pub sql: String,

@@ -293,26 +293,97 @@ impl Expr {
         Expr::Literal(Value::Int(v))
     }
 
-    /// Does this expression (transitively) contain an aggregate call?
-    pub fn contains_agg(&self) -> bool {
+    /// Call `f` on each direct child, in source order. A subquery's body
+    /// is a statement, not a child. This list and the one in
+    /// [`try_map_children`](Self::try_map_children) are the only places
+    /// that know which variants have children.
+    pub fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
         match self {
-            Expr::Agg { .. } | Expr::AggRef(_) => true,
-            Expr::Literal(_) | Expr::Column { .. } | Expr::ColumnRef(_) => false,
-            Expr::Binary { left, right, .. } => left.contains_agg() || right.contains_agg(),
-            Expr::Neg(e) | Expr::Not(e) => e.contains_agg(),
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::ColumnRef(_)
+            | Expr::AggRef(_)
+            | Expr::Subquery(_) => {}
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Neg(x) | Expr::Not(x) | Expr::InSubquery { expr: x, .. } => f(x),
             Expr::Between {
                 expr, low, high, ..
-            } => expr.contains_agg() || low.contains_agg() || high.contains_agg(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_agg() || list.iter().any(|e| e.contains_agg())
+            } => {
+                f(expr);
+                f(low);
+                f(high);
             }
-            Expr::Like { expr, pattern, .. } => expr.contains_agg() || pattern.contains_agg(),
-            Expr::Func { args, .. } => args.iter().any(|a| a.contains_agg()),
-            // Subqueries are lowered before aggregate analysis; their
-            // internals don't count as aggregates of the outer query.
-            Expr::Subquery(_) => false,
-            Expr::InSubquery { expr, .. } => expr.contains_agg(),
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(&mut f);
+            }
+            Expr::Agg { arg, .. } => arg.iter().for_each(|a| f(a)),
+            Expr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            Expr::Func { args, .. } => args.iter().for_each(&mut f),
         }
+    }
+
+    /// Rebuild this node with `f` applied to each direct child, in source
+    /// order (the order [`for_each_child`](Self::for_each_child) visits).
+    /// Children are replaced in place, so the node's boxes and lists are
+    /// reused rather than reallocated.
+    pub fn try_map_children<E>(
+        mut self,
+        mut f: impl FnMut(Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        let mut map = |child: &mut Expr| -> Result<(), E> {
+            let old = std::mem::replace(child, Expr::Literal(Value::Null));
+            *child = f(old)?;
+            Ok(())
+        };
+        match &mut self {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::ColumnRef(_)
+            | Expr::AggRef(_)
+            | Expr::Subquery(_) => {}
+            Expr::Binary { left, right, .. } => {
+                map(left)?;
+                map(right)?;
+            }
+            Expr::Neg(x) | Expr::Not(x) | Expr::InSubquery { expr: x, .. } => map(x)?,
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                map(expr)?;
+                map(low)?;
+                map(high)?;
+            }
+            Expr::InList { expr, list, .. } => {
+                map(expr)?;
+                list.iter_mut().try_for_each(&mut map)?;
+            }
+            Expr::Agg { arg, .. } => arg.iter_mut().try_for_each(|a| map(a))?,
+            Expr::Like { expr, pattern, .. } => {
+                map(expr)?;
+                map(pattern)?;
+            }
+            Expr::Func { args, .. } => args.iter_mut().try_for_each(&mut map)?,
+        }
+        Ok(self)
+    }
+
+    /// Does this expression (transitively) contain an aggregate call?
+    /// Subqueries are lowered before aggregate analysis, and their bodies
+    /// are not children, so their aggregates don't count.
+    pub fn contains_agg(&self) -> bool {
+        if let Expr::Agg { .. } | Expr::AggRef(_) = self {
+            return true;
+        }
+        let mut found = false;
+        self.for_each_child(|c| found = found || c.contains_agg());
+        found
     }
 
     /// Split a conjunction into its conjuncts.
@@ -383,6 +454,112 @@ mod tests {
         };
         assert!(nested.contains_agg());
         assert!(!Expr::col("x").contains_agg());
+    }
+
+    /// One instance of every variant, each child a distinct literal.
+    fn one_of_each() -> Vec<Expr> {
+        let n = |i: i64| Box::new(Expr::int(i));
+        let sub = SelectStmt {
+            distinct: false,
+            items: vec![SelectItem::Expr(Expr::int(99), None)],
+            from: vec![],
+            join_on: vec![],
+            filter: None,
+            group_by: vec![],
+            having: None,
+            order_by: vec![],
+            limit: None,
+        };
+        vec![
+            Expr::int(0),
+            Expr::col("a"),
+            Expr::ColumnRef(3),
+            Expr::Binary {
+                op: BinOp::Add,
+                left: n(1),
+                right: n(2),
+            },
+            Expr::Neg(n(1)),
+            Expr::Not(n(1)),
+            Expr::Between {
+                expr: n(1),
+                low: n(2),
+                high: n(3),
+                negated: true,
+            },
+            Expr::InList {
+                expr: n(1),
+                list: vec![Expr::int(2), Expr::int(3), Expr::int(4)],
+                negated: false,
+            },
+            Expr::Agg {
+                func: AggFunc::Sum,
+                arg: Some(n(1)),
+            },
+            Expr::Agg {
+                func: AggFunc::Count,
+                arg: None,
+            },
+            Expr::AggRef(0),
+            Expr::Like {
+                expr: n(1),
+                pattern: n(2),
+                negated: false,
+            },
+            Expr::Func {
+                func: ScalarFunc::Substr,
+                args: vec![Expr::int(1), Expr::int(2), Expr::int(3)],
+            },
+            Expr::Subquery(Box::new(sub.clone())),
+            Expr::InSubquery {
+                expr: n(1),
+                query: Box::new(sub),
+                negated: true,
+            },
+        ]
+    }
+
+    #[test]
+    fn child_walks_agree_on_every_variant() {
+        let exprs = one_of_each();
+        // Adding a variant breaks this match until the variant has an
+        // instance above.
+        let mut covered = [false; 14];
+        for e in &exprs {
+            covered[match e {
+                Expr::Literal(_) => 0,
+                Expr::Column { .. } => 1,
+                Expr::ColumnRef(_) => 2,
+                Expr::Binary { .. } => 3,
+                Expr::Neg(_) => 4,
+                Expr::Not(_) => 5,
+                Expr::Between { .. } => 6,
+                Expr::InList { .. } => 7,
+                Expr::Agg { .. } => 8,
+                Expr::AggRef(_) => 9,
+                Expr::Like { .. } => 10,
+                Expr::Func { .. } => 11,
+                Expr::Subquery(_) => 12,
+                Expr::InSubquery { .. } => 13,
+            }] = true;
+        }
+        assert!(covered.iter().all(|&c| c), "{covered:?}");
+        let arity = [0, 0, 0, 2, 1, 1, 3, 4, 1, 0, 0, 2, 3, 0, 1];
+        for (e, arity) in exprs.into_iter().zip(arity) {
+            let mut visited = Vec::new();
+            e.for_each_child(|c| visited.push(c.clone()));
+            let mut mapped = Vec::new();
+            let same = e
+                .clone()
+                .try_map_children(|c| {
+                    mapped.push(c.clone());
+                    Ok::<_, ()>(c)
+                })
+                .unwrap();
+            assert_eq!(visited.len(), arity, "{e:?}");
+            assert_eq!(visited, mapped, "{e:?}");
+            assert_eq!(same, e);
+        }
     }
 
     #[test]

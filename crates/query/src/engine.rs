@@ -1,6 +1,6 @@
 //! The parse → plan → execute entry point.
 
-use crate::ast::{SelectItem, SelectStmt, Statement, TableRef};
+use crate::ast::{Expr, SelectItem, SelectStmt, Statement, TableRef};
 use crate::exec;
 use crate::expr::eval;
 use crate::parser::parse;
@@ -10,10 +10,9 @@ use veridb_common::sync::{Mutex, RwLock};
 use veridb_common::{ColumnDef, Error, Metric, Result, Row, Schema, Value};
 use veridb_storage::Catalog;
 
-/// Statement kind tags for durability-log records. The values are the
-/// wire format of `veridb-log`'s record codec (that crate re-declares
-/// them as `KIND_*`; the two lists are kept in sync by the round-trip
-/// tests in `veridb` core).
+/// Statement kind tags for durability-log records. This is the only list:
+/// `veridb-log` stores and MACs a record's kind byte but never interprets
+/// it, so the values are part of the log's on-disk format.
 pub mod stmt_kind {
     /// `CREATE TABLE`.
     pub const CREATE_TABLE: u8 = 1;
@@ -321,9 +320,9 @@ impl QueryEngine {
                 let pk_col = t.schema().primary_key();
                 let matching = self.matching_rows(&table, filter, opts)?;
                 // Resolve SET expressions against the table's own columns.
-                let set_cols: Vec<(usize, crate::ast::Expr)> = sets
+                let set_cols: Vec<(usize, Expr)> = sets
                     .into_iter()
-                    .map(|(c, e)| -> Result<(usize, crate::ast::Expr)> {
+                    .map(|(c, e)| -> Result<(usize, Expr)> {
                         Ok((t.schema().index_of(&c)?, resolve_local(&t, e)?))
                     })
                     .collect::<Result<_>>()?;
@@ -396,7 +395,7 @@ impl QueryEngine {
     fn matching_rows(
         &self,
         table: &str,
-        filter: Option<crate::ast::Expr>,
+        filter: Option<Expr>,
         opts: &PlanOptions,
     ) -> Result<Vec<Row>> {
         let stmt = SelectStmt {
@@ -419,63 +418,13 @@ impl QueryEngine {
 }
 
 /// Resolve an expression's columns against one table's local schema.
-fn resolve_local(
-    table: &Arc<veridb_storage::Table>,
-    e: crate::ast::Expr,
-) -> Result<crate::ast::Expr> {
-    use crate::ast::Expr;
-    Ok(match e {
-        Expr::Column { name, .. } => Expr::ColumnRef(table.schema().index_of(&name)?),
-        Expr::Literal(_) | Expr::ColumnRef(_) | Expr::AggRef(_) => e,
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(resolve_local(table, *left)?),
-            right: Box::new(resolve_local(table, *right)?),
-        },
-        Expr::Neg(x) => Expr::Neg(Box::new(resolve_local(table, *x)?)),
-        Expr::Not(x) => Expr::Not(Box::new(resolve_local(table, *x)?)),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(resolve_local(table, *expr)?),
-            low: Box::new(resolve_local(table, *low)?),
-            high: Box::new(resolve_local(table, *high)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(resolve_local(table, *expr)?),
-            list: list
-                .into_iter()
-                .map(|x| resolve_local(table, x))
-                .collect::<Result<_>>()?,
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(resolve_local(table, *expr)?),
-            pattern: Box::new(resolve_local(table, *pattern)?),
-            negated,
-        },
-        Expr::Func { func, args } => Expr::Func {
-            func,
-            args: args
-                .into_iter()
-                .map(|a| resolve_local(table, a))
-                .collect::<Result<_>>()?,
-        },
-        Expr::Agg { .. } => return Err(Error::Plan("aggregates are not allowed in SET".into())),
+fn resolve_local(table: &Arc<veridb_storage::Table>, e: Expr) -> Result<Expr> {
+    match e {
+        Expr::Column { name, .. } => Ok(Expr::ColumnRef(table.schema().index_of(&name)?)),
+        Expr::Agg { .. } => Err(Error::Plan("aggregates are not allowed in SET".into())),
         Expr::Subquery(_) | Expr::InSubquery { .. } => {
-            return Err(Error::Plan("subqueries are not allowed in SET".into()))
+            Err(Error::Plan("subqueries are not allowed in SET".into()))
         }
-    })
+        e => e.try_map_children(|c| resolve_local(table, c)),
+    }
 }

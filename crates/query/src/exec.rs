@@ -15,7 +15,7 @@ use crate::ast::{AggFunc, Expr};
 use crate::expr::{cmp_values, eval, passes};
 use crate::planner::{AccessPath, PhysicalPlan};
 use crate::spill::{ExecContext, SpilledRows};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use veridb_common::obs::{Metric, Metrics, OperatorKind};
 use veridb_common::{Result, Row, Value};
@@ -263,18 +263,12 @@ enum ScanSource {
     Point(std::vec::IntoIter<Row>),
 }
 
-/// Rows pulled from the verified scan per refill. Draining the underlying
-/// cursor in runs keeps it on its page-batched fast path (each pull beyond
-/// the first usually pops an already-verified row) and amortizes the
-/// residual evaluation loop.
-const SCAN_OP_BATCH: usize = 64;
-
-/// Leaf scan over a table's verified access methods.
+/// Leaf scan over a table's verified access methods. A range source
+/// batches on its own: [`VerifiedScan`] verifies a whole round of pages
+/// per refill and pops already-verified rows until it is empty.
 struct ScanOp {
     source: ScanSource,
     residual: Option<Expr>,
-    /// Rows verified and filtered, awaiting emission.
-    buf: VecDeque<Row>,
 }
 
 impl ScanOp {
@@ -299,64 +293,23 @@ impl ScanOp {
                 }
             }
         };
-        Ok(ScanOp {
-            source,
-            residual,
-            buf: VecDeque::new(),
-        })
-    }
-
-    /// Pull up to [`SCAN_OP_BATCH`] rows from a range source into `buf`,
-    /// applying the residual predicate as they arrive. Returns `false` once
-    /// the source is exhausted.
-    fn refill(&mut self) -> Result<bool> {
-        let ScanSource::Range(s) = &mut self.source else {
-            return Ok(false);
-        };
-        let mut pulled = false;
-        for _ in 0..SCAN_OP_BATCH {
-            let Some(row) = s.next() else {
-                return Ok(pulled);
-            };
-            let row = row?;
-            pulled = true;
-            let keep = match &self.residual {
-                Some(pred) => passes(pred, &row)?,
-                None => true,
-            };
-            if keep {
-                self.buf.push_back(row);
-            }
-        }
-        Ok(pulled)
+        Ok(ScanOp { source, residual })
     }
 }
 
 impl Operator for ScanOp {
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            if let Some(row) = self.buf.pop_front() {
-                return Ok(Some(row));
-            }
-            match &mut self.source {
-                ScanSource::Range(_) => {
-                    if !self.refill()? {
-                        return Ok(None);
-                    }
-                    // buf may still be empty (residual dropped the whole
-                    // batch); loop and pull the next run.
-                }
-                ScanSource::Point(it) => {
-                    let Some(row) = it.next() else {
-                        return Ok(None);
-                    };
-                    if let Some(pred) = &self.residual {
-                        if !passes(pred, &row)? {
-                            continue;
-                        }
-                    }
-                    return Ok(Some(row));
-                }
+            let row = match &mut self.source {
+                ScanSource::Range(s) => s.next().transpose()?,
+                ScanSource::Point(it) => it.next(),
+            };
+            let Some(row) = row else {
+                return Ok(None);
+            };
+            match &self.residual {
+                Some(pred) if !passes(pred, &row)? => continue,
+                _ => return Ok(Some(row)),
             }
         }
     }

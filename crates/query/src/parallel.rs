@@ -52,7 +52,7 @@
 use crate::ast::{AggFunc, Expr};
 use crate::exec::{open_ctx, GroupedPartial, Operator};
 use crate::expr::{eval, passes};
-use crate::planner::{partitionable, AccessPath, PhysicalPlan};
+use crate::planner::{AccessPath, PhysicalPlan};
 use crate::spill::{ExecContext, SpilledRows};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -90,15 +90,20 @@ pub(crate) const PARALLEL_SORT_MIN_ROWS: usize = 1024;
 
 /// The region's driving verified scan: the table plus the chain and key
 /// range that morsels partition.
-type DriverScan<'a> = (&'a Arc<Table>, usize, Bound<Value>, Bound<Value>);
+type DriverScan<'a> = (&'a Arc<Table>, usize, &'a Bound<Value>, &'a Bound<Value>);
 
-/// Found by walking the partitionable spine (Filter/Project inputs,
-/// IndexNlJoin outer).
-fn driver_scan(plan: &PhysicalPlan) -> Option<DriverScan<'_>> {
+/// The driving scan of `plan` when it is a morsel-partitionable pipeline:
+/// a verified full or range scan, optionally under Filter/Project,
+/// optionally driving an index nested-loop join (the "spine"). Such a
+/// subtree can be re-instantiated per key sub-range of its driving scan
+/// and executed by independent workers, with each worker's
+/// [`VerifiedScan`](veridb_storage::VerifiedScan) proving completeness of
+/// its own sub-range. `None` for anything else.
+pub(crate) fn driver_scan(plan: &PhysicalPlan) -> Option<DriverScan<'_>> {
     match plan {
         PhysicalPlan::TableScan { table, access, .. } => match access {
-            AccessPath::Full => Some((table, 0, Bound::Unbounded, Bound::Unbounded)),
-            AccessPath::Range { chain, lo, hi } => Some((table, *chain, lo.clone(), hi.clone())),
+            AccessPath::Full => Some((table, 0, &Bound::Unbounded, &Bound::Unbounded)),
+            AccessPath::Range { chain, lo, hi } => Some((table, *chain, lo, hi)),
             AccessPath::Point { .. } => None,
         },
         PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
@@ -172,7 +177,7 @@ fn morsel_plans(region: &PhysicalPlan) -> Vec<PhysicalPlan> {
     let Some((table, chain, lo, hi)) = driver_scan(region) else {
         return vec![region.clone()];
     };
-    let ranges = table.morsel_ranges(chain, &lo, &hi, MORSEL_TARGET);
+    let ranges = table.morsel_ranges(chain, lo, hi, MORSEL_TARGET);
     if ranges.len() <= 1 {
         return vec![region.clone()];
     }
@@ -562,7 +567,7 @@ impl PartitionedJoinOp {
         let right_key = self.right_key;
         // Build phase: partition-hashed buckets per morsel, in morsel
         // order.
-        let morsel_buckets: Vec<Vec<Vec<Row>>> = if partitionable(&self.right) {
+        let morsel_buckets: Vec<Vec<Vec<Row>>> = if driver_scan(&self.right).is_some() {
             let plans = morsel_plans(&self.right);
             run_morsels(&plans, pool, &self.ctx, |p, c| {
                 let mut op = open_ctx(p, c)?;
@@ -587,7 +592,7 @@ impl PartitionedJoinOp {
         let left_key = self.left_key;
         let residual = &self.residual;
         let tables = &tables;
-        let per_chunk: Vec<Vec<Row>> = if partitionable(&self.left) {
+        let per_chunk: Vec<Vec<Row>> = if driver_scan(&self.left).is_some() {
             let plans = morsel_plans(&self.left);
             run_morsels(&plans, pool, &self.ctx, |p, c| {
                 let mut op = open_ctx(p, c)?;

@@ -19,7 +19,9 @@
 
 use crate::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
 use crate::engine::{PlanOptions, PreferredJoin};
+use crate::parallel::driver_scan;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::ops::Bound;
 use std::sync::Arc;
 use veridb_common::{Error, Result, Value};
@@ -203,23 +205,36 @@ pub enum PhysicalPlan {
 }
 
 impl PhysicalPlan {
+    /// The input subplans, in order (left before right). An index
+    /// nested-loop join's inner side is a table, not an input.
+    pub fn inputs(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        let (first, second) = match self {
+            PhysicalPlan::TableScan { .. } => (None, None),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::IndexNlJoin { outer: input, .. }
+            | PhysicalPlan::Distinct { input }
+            | PhysicalPlan::Aggregate { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Exchange { input, .. }
+            | PhysicalPlan::Gather { input } => (Some(&**input), None),
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::MergeJoin { left, right, .. }
+            | PhysicalPlan::BlockNlJoin { left, right, .. }
+            | PhysicalPlan::PartitionedJoin { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
+    }
+
     /// Output width (number of columns) of this plan.
     pub fn width(&self) -> usize {
         match self {
             PhysicalPlan::TableScan { table, .. } => table.schema().len(),
-            PhysicalPlan::Filter { input, .. } => input.width(),
             PhysicalPlan::Project { exprs, .. } => exprs.len(),
             PhysicalPlan::IndexNlJoin { outer, inner, .. } => outer.width() + inner.schema().len(),
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. }
-            | PhysicalPlan::BlockNlJoin { left, right, .. }
-            | PhysicalPlan::PartitionedJoin { left, right, .. } => left.width() + right.width(),
             PhysicalPlan::Aggregate { group, aggs, .. } => group.len() + aggs.len(),
-            PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Exchange { input, .. }
-            | PhysicalPlan::Gather { input } => input.width(),
+            _ => self.inputs().map(PhysicalPlan::width).sum(),
         }
     }
 
@@ -231,8 +246,7 @@ impl PhysicalPlan {
     }
 
     fn explain_into(&self, depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
-        match self {
+        let label = match self {
             PhysicalPlan::TableScan {
                 table,
                 access,
@@ -240,111 +254,44 @@ impl PhysicalPlan {
             } => {
                 let acc = match access {
                     AccessPath::Full => "SeqScan".to_string(),
-                    AccessPath::Range { chain, .. } => {
-                        format!("RangeScan(chain {chain})")
-                    }
+                    AccessPath::Range { chain, .. } => format!("RangeScan(chain {chain})"),
                     AccessPath::Point { chain, key } => {
                         format!("IndexSearch(chain {chain} = {key})")
                     }
                 };
-                out.push_str(&format!(
-                    "{pad}{acc} on {}{}\n",
-                    table.name(),
-                    if residual.is_some() {
-                        " [filtered]"
-                    } else {
-                        ""
-                    }
-                ));
+                let filtered = if residual.is_some() {
+                    " [filtered]"
+                } else {
+                    ""
+                };
+                format!("{acc} on {}{filtered}", table.name())
             }
-            PhysicalPlan::Filter { input, .. } => {
-                out.push_str(&format!("{pad}Filter\n"));
-                input.explain_into(depth + 1, out);
+            PhysicalPlan::Filter { .. } => "Filter".to_string(),
+            PhysicalPlan::Project { names, .. } => format!("Project [{}]", names.join(", ")),
+            PhysicalPlan::IndexNlJoin { inner, .. } => {
+                format!("IndexNestedLoopJoin (inner: {})", inner.name())
             }
-            PhysicalPlan::Project { input, names, .. } => {
-                out.push_str(&format!("{pad}Project [{}]\n", names.join(", ")));
-                input.explain_into(depth + 1, out);
+            PhysicalPlan::HashJoin { .. } => "HashJoin".to_string(),
+            PhysicalPlan::MergeJoin { .. } => "MergeJoin".to_string(),
+            PhysicalPlan::BlockNlJoin { .. } => "NestedLoopJoin".to_string(),
+            PhysicalPlan::Aggregate { group, aggs, .. } => {
+                format!("Aggregate [{} groups, {} aggs]", group.len(), aggs.len())
             }
-            PhysicalPlan::IndexNlJoin { outer, inner, .. } => {
-                out.push_str(&format!(
-                    "{pad}IndexNestedLoopJoin (inner: {})\n",
-                    inner.name()
-                ));
-                outer.explain_into(depth + 1, out);
+            PhysicalPlan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
+            PhysicalPlan::Limit { n, .. } => format!("Limit {n}"),
+            PhysicalPlan::Distinct { .. } => "Distinct".to_string(),
+            PhysicalPlan::Exchange { workers, .. } => format!("Exchange [{workers} workers]"),
+            PhysicalPlan::Gather { .. } => "Gather".to_string(),
+            PhysicalPlan::PartitionedJoin { workers, .. } => {
+                format!("PartitionedHashJoin [{workers} workers]")
             }
-            PhysicalPlan::HashJoin { left, right, .. } => {
-                out.push_str(&format!("{pad}HashJoin\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::MergeJoin { left, right, .. } => {
-                out.push_str(&format!("{pad}MergeJoin\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::BlockNlJoin { left, right, .. } => {
-                out.push_str(&format!("{pad}NestedLoopJoin\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::Aggregate { input, group, aggs } => {
-                out.push_str(&format!(
-                    "{pad}Aggregate [{} groups, {} aggs]\n",
-                    group.len(),
-                    aggs.len()
-                ));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::Sort { input, keys } => {
-                out.push_str(&format!("{pad}Sort [{} keys]\n", keys.len()));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::Limit { input, n } => {
-                out.push_str(&format!("{pad}Limit {n}\n"));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::Exchange { input, workers } => {
-                out.push_str(&format!("{pad}Exchange [{workers} workers]\n"));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::Gather { input } => {
-                out.push_str(&format!("{pad}Gather\n"));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::PartitionedJoin {
-                left,
-                right,
-                workers,
-                ..
-            } => {
-                out.push_str(&format!("{pad}PartitionedHashJoin [{workers} workers]\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
+        };
+        out.push_str(&"  ".repeat(depth));
+        out.push_str(&label);
+        out.push('\n');
+        for input in self.inputs() {
+            input.explain_into(depth + 1, out);
         }
-    }
-}
-
-/// True when `plan` is a morsel-partitionable pipeline: a verified full or
-/// range scan, optionally under Filter/Project, optionally driving an
-/// index nested-loop join. Such a subtree can be re-instantiated per key
-/// sub-range of its driving scan and executed by independent workers, with
-/// each worker's [`VerifiedScan`](veridb_storage::VerifiedScan) proving
-/// completeness of its own sub-range.
-pub(crate) fn partitionable(plan: &PhysicalPlan) -> bool {
-    match plan {
-        PhysicalPlan::TableScan { access, .. } => {
-            matches!(access, AccessPath::Full | AccessPath::Range { .. })
-        }
-        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-            partitionable(input)
-        }
-        PhysicalPlan::IndexNlJoin { outer, .. } => partitionable(outer),
-        _ => false,
     }
 }
 
@@ -371,7 +318,7 @@ pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
         return plan;
     }
     let wrap = |p: PhysicalPlan| -> PhysicalPlan {
-        if partitionable(&p) {
+        if driver_scan(&p).is_some() {
             PhysicalPlan::Gather {
                 input: Box::new(PhysicalPlan::Exchange {
                     input: Box::new(p),
@@ -382,11 +329,11 @@ pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
             p
         }
     };
-    if partitionable(&plan) {
+    if driver_scan(&plan).is_some() {
         return wrap(plan);
     }
     match plan {
-        PhysicalPlan::Aggregate { input, group, aggs } if partitionable(&input) => {
+        PhysicalPlan::Aggregate { input, group, aggs } if driver_scan(&input).is_some() => {
             PhysicalPlan::Aggregate {
                 input: Box::new(PhysicalPlan::Exchange { input, workers }),
                 group,
@@ -432,12 +379,12 @@ pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
             right_key,
             residual,
         } => {
-            let left = if partitionable(&left) {
+            let left = if driver_scan(&left).is_some() {
                 left
             } else {
                 Box::new(parallelize(*left, workers))
             };
-            let right = if partitionable(&right) {
+            let right = if driver_scan(&right).is_some() {
                 right
             } else {
                 Box::new(parallelize(*right, workers))
@@ -542,72 +489,17 @@ impl Scope {
 
     /// Rewrite `Column` nodes into `ColumnRef` global indices.
     fn resolve_expr(&self, e: Expr) -> Result<Expr> {
-        Ok(match e {
-            Expr::Column { qualifier, name } => {
-                Expr::ColumnRef(self.resolve_column(qualifier.as_deref(), &name)?)
-            }
-            Expr::ColumnRef(_) | Expr::Literal(_) | Expr::AggRef(_) => e,
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op,
-                left: Box::new(self.resolve_expr(*left)?),
-                right: Box::new(self.resolve_expr(*right)?),
-            },
-            Expr::Neg(x) => Expr::Neg(Box::new(self.resolve_expr(*x)?)),
-            Expr::Not(x) => Expr::Not(Box::new(self.resolve_expr(*x)?)),
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.resolve_expr(*expr)?),
-                low: Box::new(self.resolve_expr(*low)?),
-                high: Box::new(self.resolve_expr(*high)?),
-                negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(self.resolve_expr(*expr)?),
-                list: list
-                    .into_iter()
-                    .map(|x| self.resolve_expr(x))
-                    .collect::<Result<_>>()?,
-                negated,
-            },
-            Expr::Agg { func, arg } => Expr::Agg {
-                func,
-                arg: match arg {
-                    Some(a) => Some(Box::new(self.resolve_expr(*a)?)),
-                    None => None,
-                },
-            },
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Expr::Like {
-                expr: Box::new(self.resolve_expr(*expr)?),
-                pattern: Box::new(self.resolve_expr(*pattern)?),
-                negated,
-            },
-            Expr::Func { func, args } => Expr::Func {
-                func,
-                args: args
-                    .into_iter()
-                    .map(|a| self.resolve_expr(a))
-                    .collect::<Result<_>>()?,
-            },
-            Expr::Subquery(_) | Expr::InSubquery { .. } => {
-                return Err(Error::Plan(
-                    "subquery survived lowering (correlated subqueries are \
-                     not supported)"
-                        .into(),
-                ))
-            }
-        })
+        match e {
+            Expr::Column { qualifier, name } => Ok(Expr::ColumnRef(
+                self.resolve_column(qualifier.as_deref(), &name)?,
+            )),
+            Expr::Subquery(_) | Expr::InSubquery { .. } => Err(Error::Plan(
+                "subquery survived lowering (correlated subqueries are \
+                 not supported)"
+                    .into(),
+            )),
+            e => e.try_map_children(|c| self.resolve_expr(c)),
+        }
     }
 }
 
@@ -615,103 +507,19 @@ impl Scope {
 fn collect_refs(e: &Expr, out: &mut Vec<usize>) {
     match e {
         Expr::ColumnRef(i) => out.push(*i),
-        Expr::Literal(_) | Expr::Column { .. } | Expr::AggRef(_) => {}
-        Expr::Binary { left, right, .. } => {
-            collect_refs(left, out);
-            collect_refs(right, out);
-        }
-        Expr::Neg(x) | Expr::Not(x) => collect_refs(x, out),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_refs(expr, out);
-            collect_refs(low, out);
-            collect_refs(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_refs(expr, out);
-            for x in list {
-                collect_refs(x, out);
-            }
-        }
-        Expr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                collect_refs(a, out);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_refs(expr, out);
-            collect_refs(pattern, out);
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_refs(a, out);
-            }
-        }
-        Expr::Subquery(_) => {}
-        Expr::InSubquery { expr, .. } => collect_refs(expr, out),
+        e => e.for_each_child(|c| collect_refs(c, out)),
     }
 }
 
-/// Shift every `ColumnRef` by `-offset` (global → table-local).
-fn shift_refs(e: Expr, offset: usize) -> Expr {
+/// Apply `f` to the index of every `ColumnRef` (e.g. to move between
+/// table-local and global indices).
+fn map_refs(e: Expr, f: &impl Fn(usize) -> usize) -> Expr {
     match e {
-        Expr::ColumnRef(i) => Expr::ColumnRef(i - offset),
-        Expr::Literal(_) | Expr::Column { .. } | Expr::AggRef(_) => e,
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(shift_refs(*left, offset)),
-            right: Box::new(shift_refs(*right, offset)),
-        },
-        Expr::Neg(x) => Expr::Neg(Box::new(shift_refs(*x, offset))),
-        Expr::Not(x) => Expr::Not(Box::new(shift_refs(*x, offset))),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(shift_refs(*expr, offset)),
-            low: Box::new(shift_refs(*low, offset)),
-            high: Box::new(shift_refs(*high, offset)),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(shift_refs(*expr, offset)),
-            list: list.into_iter().map(|x| shift_refs(x, offset)).collect(),
-            negated,
-        },
-        Expr::Agg { func, arg } => Expr::Agg {
-            func,
-            arg: arg.map(|a| Box::new(shift_refs(*a, offset))),
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(shift_refs(*expr, offset)),
-            pattern: Box::new(shift_refs(*pattern, offset)),
-            negated,
-        },
-        Expr::Func { func, args } => Expr::Func {
-            func,
-            args: args.into_iter().map(|a| shift_refs(a, offset)).collect(),
-        },
-        Expr::Subquery(_) => e,
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(shift_refs(*expr, offset)),
-            query,
-            negated,
-        },
+        Expr::ColumnRef(i) => Expr::ColumnRef(f(i)),
+        e => {
+            let Ok(e) = e.try_map_children(|c| Ok::<_, Infallible>(map_refs(c, f)));
+            e
+        }
     }
 }
 
@@ -720,7 +528,7 @@ fn shift_refs(e: Expr, offset: usize) -> Expr {
 /// must produce one column and at most one row; `IN (SELECT …)` must
 /// produce one column.
 fn lower_subqueries(e: Expr, catalog: &Catalog, opts: &PlanOptions) -> Result<Expr> {
-    Ok(match e {
+    match e {
         Expr::Subquery(stmt) => {
             let planned = plan_select(catalog, *stmt, opts)?;
             let rows = crate::exec::run(&planned.plan)?;
@@ -731,9 +539,9 @@ fn lower_subqueries(e: Expr, catalog: &Catalog, opts: &PlanOptions) -> Result<Ex
                 )));
             }
             match rows.len() {
-                0 => Expr::Literal(Value::Null),
-                1 => Expr::Literal(rows[0][0].clone()),
-                n => return Err(Error::Plan(format!("scalar subquery returned {n} rows"))),
+                0 => Ok(Expr::Literal(Value::Null)),
+                1 => Ok(Expr::Literal(rows[0][0].clone())),
+                n => Err(Error::Plan(format!("scalar subquery returned {n} rows"))),
             }
         }
         Expr::InSubquery {
@@ -749,70 +557,17 @@ fn lower_subqueries(e: Expr, catalog: &Catalog, opts: &PlanOptions) -> Result<Ex
                     planned.columns.len()
                 )));
             }
-            Expr::InList {
+            Ok(Expr::InList {
                 expr: Box::new(lower_subqueries(*expr, catalog, opts)?),
                 list: rows
                     .into_iter()
                     .map(|r| Expr::Literal(r[0].clone()))
                     .collect(),
                 negated,
-            }
+            })
         }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(lower_subqueries(*left, catalog, opts)?),
-            right: Box::new(lower_subqueries(*right, catalog, opts)?),
-        },
-        Expr::Neg(x) => Expr::Neg(Box::new(lower_subqueries(*x, catalog, opts)?)),
-        Expr::Not(x) => Expr::Not(Box::new(lower_subqueries(*x, catalog, opts)?)),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(lower_subqueries(*expr, catalog, opts)?),
-            low: Box::new(lower_subqueries(*low, catalog, opts)?),
-            high: Box::new(lower_subqueries(*high, catalog, opts)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(lower_subqueries(*expr, catalog, opts)?),
-            list: list
-                .into_iter()
-                .map(|x| lower_subqueries(x, catalog, opts))
-                .collect::<Result<_>>()?,
-            negated,
-        },
-        Expr::Agg { func, arg } => Expr::Agg {
-            func,
-            arg: match arg {
-                Some(a) => Some(Box::new(lower_subqueries(*a, catalog, opts)?)),
-                None => None,
-            },
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(lower_subqueries(*expr, catalog, opts)?),
-            pattern: Box::new(lower_subqueries(*pattern, catalog, opts)?),
-            negated,
-        },
-        Expr::Func { func, args } => Expr::Func {
-            func,
-            args: args
-                .into_iter()
-                .map(|a| lower_subqueries(a, catalog, opts))
-                .collect::<Result<_>>()?,
-        },
-        other => other,
-    })
+        e => e.try_map_children(|c| lower_subqueries(c, catalog, opts)),
+    }
 }
 
 /// Plan a SELECT statement against the catalog.
@@ -927,7 +682,7 @@ pub fn plan_select(
     for (ti, t) in scope.tables.iter().enumerate() {
         let local: Vec<Expr> = per_table[ti]
             .drain(..)
-            .map(|e| shift_refs(e, t.offset))
+            .map(|e| map_refs(e, &|i| i - t.offset))
             .collect();
         scans.push(build_scan(&t.table, local)?);
     }
@@ -1034,55 +789,33 @@ pub fn plan_select(
     let has_aggs = !group_exprs.is_empty() || out_exprs.iter().any(|e| e.contains_agg());
 
     if has_aggs {
-        // Collect aggregate calls and rewrite output expressions over the
-        // aggregate operator's output row: [groups..., aggs...].
+        // Collect aggregate calls (select list first, then HAVING) and
+        // rewrite both over the aggregate operator's output row
+        // [groups..., aggs...]. The rewrite rejects any column that is
+        // neither grouped nor aggregated.
         let mut aggs: Vec<(AggFunc, Option<Expr>)> = Vec::new();
-        let group_len = group_exprs.len();
         let rewritten: Vec<Expr> = out_exprs
             .into_iter()
-            .map(|e| rewrite_for_agg(e, &group_exprs, &mut aggs, group_len))
+            .map(|e| rewrite_for_agg(e, &group_exprs, &mut aggs))
             .collect::<Result<_>>()?;
-        // Validate: rewritten expressions may only reference the agg output.
-        for e in &rewritten {
-            let mut refs = Vec::new();
-            collect_refs(e, &mut refs);
-            if refs.iter().any(|&r| r >= group_len + aggs.len()) {
-                return Err(Error::Plan(
-                    "select expression references a column that is neither \
-                     grouped nor aggregated"
-                        .into(),
-                ));
-            }
-        }
+        let having = match stmt.having {
+            Some(h) => Some(rewrite_for_agg(
+                scope.resolve_expr(h)?,
+                &group_exprs,
+                &mut aggs,
+            )?),
+            None => None,
+        };
         plan = PhysicalPlan::Aggregate {
             input: Box::new(plan),
-            group: group_exprs.clone(),
-            aggs: aggs.clone(),
+            group: group_exprs,
+            aggs,
         };
-        // HAVING filters groups before projection; it sees the aggregate
-        // output row [groups..., aggs...].
-        if let Some(h) = stmt.having {
-            let resolved = scope.resolve_expr(h)?;
-            let rewritten_h = rewrite_for_agg(resolved, &group_exprs, &mut aggs, group_len)?;
-            let mut refs = Vec::new();
-            collect_refs(&rewritten_h, &mut refs);
-            if refs.iter().any(|&r| r >= group_len + aggs.len()) {
-                return Err(Error::Plan(
-                    "HAVING references a column that is neither grouped nor \
-                     aggregated"
-                        .into(),
-                ));
-            }
-            // Aggregates first used in HAVING extend the aggregate list.
-            if let PhysicalPlan::Aggregate {
-                aggs: plan_aggs, ..
-            } = &mut plan
-            {
-                *plan_aggs = aggs.clone();
-            }
+        // HAVING filters groups before projection.
+        if let Some(pred) = having {
             plan = PhysicalPlan::Filter {
                 input: Box::new(plan),
-                pred: rewritten_h,
+                pred,
             };
         }
         plan = PhysicalPlan::Project {
@@ -1189,52 +922,26 @@ fn rewrite_for_agg(
     e: Expr,
     group_exprs: &[Expr],
     aggs: &mut Vec<(AggFunc, Option<Expr>)>,
-    group_len: usize,
 ) -> Result<Expr> {
     // A select expression that *is* a group expression references its slot.
     if let Some(i) = group_exprs.iter().position(|g| *g == e) {
         return Ok(Expr::ColumnRef(i));
     }
-    Ok(match e {
+    match e {
         Expr::Agg { func, arg } => {
-            let idx = group_len + aggs.len();
+            let idx = group_exprs.len() + aggs.len();
             aggs.push((func, arg.map(|a| *a)));
-            Expr::ColumnRef(idx)
+            Ok(Expr::ColumnRef(idx))
         }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(rewrite_for_agg(*left, group_exprs, aggs, group_len)?),
-            right: Box::new(rewrite_for_agg(*right, group_exprs, aggs, group_len)?),
-        },
-        Expr::Neg(x) => Expr::Neg(Box::new(rewrite_for_agg(*x, group_exprs, aggs, group_len)?)),
-        Expr::Not(x) => Expr::Not(Box::new(rewrite_for_agg(*x, group_exprs, aggs, group_len)?)),
-        Expr::Func { func, args } => Expr::Func {
-            func,
-            args: args
-                .into_iter()
-                .map(|a| rewrite_for_agg(a, group_exprs, aggs, group_len))
-                .collect::<Result<_>>()?,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rewrite_for_agg(*expr, group_exprs, aggs, group_len)?),
-            pattern: Box::new(rewrite_for_agg(*pattern, group_exprs, aggs, group_len)?),
-            negated,
-        },
         // A bare column that is not (part of) a group expression cannot
         // appear outside an aggregate argument.
-        Expr::ColumnRef(_) => {
-            return Err(Error::Plan(
-                "select expression references a column that is neither \
-                 grouped nor aggregated"
-                    .into(),
-            ))
-        }
-        other => other,
-    })
+        Expr::ColumnRef(_) => Err(Error::Plan(
+            "expression references a column that is neither grouped nor \
+             aggregated"
+                .into(),
+        )),
+        e => e.try_map_children(|c| rewrite_for_agg(c, group_exprs, aggs)),
+    }
 }
 
 /// Build the scan for one table from its pushed-down (table-local)
@@ -1538,7 +1245,7 @@ fn build_join(
                     ..
                 } = &right_scan
                 {
-                    let inner_residual = r.clone().map(|e| shift_up(e, left_width));
+                    let inner_residual = r.clone().map(|e| map_refs(e, &|i| i + left_width));
                     let combined = match (residual.clone(), inner_residual) {
                         (Some(a), Some(b)) => Some(Expr::Binary {
                             op: BinOp::And,
@@ -1573,68 +1280,6 @@ fn build_join(
                 residual,
             })
         }
-    }
-}
-
-/// Shift table-local refs up by `offset` (table-local → global).
-fn shift_up(e: Expr, offset: usize) -> Expr {
-    match e {
-        Expr::ColumnRef(i) => Expr::ColumnRef(i + offset),
-        Expr::Literal(_) | Expr::Column { .. } | Expr::AggRef(_) => e,
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(shift_up(*left, offset)),
-            right: Box::new(shift_up(*right, offset)),
-        },
-        Expr::Neg(x) => Expr::Neg(Box::new(shift_up(*x, offset))),
-        Expr::Not(x) => Expr::Not(Box::new(shift_up(*x, offset))),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(shift_up(*expr, offset)),
-            low: Box::new(shift_up(*low, offset)),
-            high: Box::new(shift_up(*high, offset)),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(shift_up(*expr, offset)),
-            list: list.into_iter().map(|x| shift_up(x, offset)).collect(),
-            negated,
-        },
-        Expr::Agg { func, arg } => Expr::Agg {
-            func,
-            arg: arg.map(|a| Box::new(shift_up(*a, offset))),
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(shift_up(*expr, offset)),
-            pattern: Box::new(shift_up(*pattern, offset)),
-            negated,
-        },
-        Expr::Func { func, args } => Expr::Func {
-            func,
-            args: args.into_iter().map(|a| shift_up(a, offset)).collect(),
-        },
-        Expr::Subquery(_) => e,
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(shift_up(*expr, offset)),
-            query,
-            negated,
-        },
     }
 }
 

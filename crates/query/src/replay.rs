@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 
 /// Default number of exactly-tracked qids above the watermark.
-pub const DEFAULT_REPLAY_WINDOW: usize = 1024;
+pub use veridb_common::config::DEFAULT_REPLAY_WINDOW;
 
 /// A low-watermark + sliding-window replay filter over `u64` qids.
 #[derive(Debug, Clone)]

@@ -972,3 +972,88 @@ fn parallel_empty_and_tiny_inputs_degenerate_cleanly() {
     let r = eng.execute_with("SELECT SUM(v) FROM e", &opts).unwrap();
     assert_eq!(r.rows, vec![Row::new(vec![Value::Int(30)])]);
 }
+
+// ---- GROUP BY rewrites reach every child of BETWEEN / IN -------------------
+
+/// Rows `(id, g, v)`: group 10 sums to 12, group 20 to 101.
+fn setup_groups() -> (Arc<VerifiedMemory>, Arc<QueryEngine>) {
+    let (mem, eng) = setup();
+    eng.execute("CREATE TABLE t (id INT PRIMARY KEY, g INT, v INT)")
+        .unwrap();
+    eng.execute("INSERT INTO t VALUES (1,10,5),(2,10,7),(3,20,100),(4,20,1)")
+        .unwrap();
+    (mem, eng)
+}
+
+fn int_rows(eng: &QueryEngine, sql: &str) -> Vec<Vec<i64>> {
+    let r = eng.execute(sql).unwrap();
+    (0..r.rows.len())
+        .map(|i| {
+            (0..r.columns.len())
+                .map(|c| ints(&r.rows[i..=i], c)[0])
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn group_key_inside_between_and_in_list() {
+    let (_m, eng) = setup_groups();
+    // BETWEEN / IN test the group key `g`, not the aggregate beside it.
+    assert_eq!(
+        int_rows(
+            &eng,
+            "SELECT g BETWEEN 10 AND 15, COUNT(*) FROM t GROUP BY g ORDER BY 1 DESC"
+        ),
+        vec![vec![1, 2], vec![0, 2]]
+    );
+    assert_eq!(
+        int_rows(
+            &eng,
+            "SELECT g IN (10), COUNT(*) FROM t GROUP BY g ORDER BY 1 DESC"
+        ),
+        vec![vec![1, 2], vec![0, 2]]
+    );
+    assert_eq!(
+        int_rows(
+            &eng,
+            "SELECT g, COUNT(*) FROM t GROUP BY g HAVING g BETWEEN 10 AND 15"
+        ),
+        vec![vec![10, 2]]
+    );
+}
+
+#[test]
+fn ungrouped_column_inside_between_is_rejected() {
+    let (_m, eng) = setup_groups();
+    let err = eng
+        .execute("SELECT g, v BETWEEN 0 AND 6, SUM(v), COUNT(*) FROM t GROUP BY g")
+        .unwrap_err();
+    assert!(matches!(err, Error::Plan(_)), "{err:?}");
+}
+
+#[test]
+fn aggregate_inside_between_and_in_list() {
+    let (_m, eng) = setup_groups();
+    assert_eq!(
+        int_rows(
+            &eng,
+            "SELECT g, SUM(v) BETWEEN 0 AND 50 FROM t GROUP BY g ORDER BY g"
+        ),
+        vec![vec![10, 1], vec![20, 0]]
+    );
+    assert_eq!(
+        int_rows(
+            &eng,
+            "SELECT g, SUM(v) IN (12, 101) FROM t GROUP BY g ORDER BY g"
+        ),
+        vec![vec![10, 1], vec![20, 1]]
+    );
+    assert_eq!(
+        int_rows(
+            &eng,
+            "SELECT g FROM t GROUP BY g HAVING SUM(v) BETWEEN 0 AND 50"
+        ),
+        vec![vec![10]]
+    );
+}
