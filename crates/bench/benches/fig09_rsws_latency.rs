@@ -132,7 +132,6 @@ fn main() {
             "meta/base [q1, q3]",
             "rsws-baseline (µs)",
             "vs §6.1's 1.4-4.2 µs",
-            "meta extra",
             "paper(base/rsws/meta)",
         ],
     );
@@ -163,10 +162,6 @@ fn main() {
             ratio(quartiles(&per_round(&|b, _, m| m / b))),
             f2(delta),
             band(delta).to_string(),
-            format!(
-                "{:.0}%",
-                median(&|b, r, m| (m - r) / (r - b).max(1e-9)) * 100.0
-            ),
             format!("{:.1}/{:.1}/{:.1}", p.0, p.1, p.2),
         ]);
     }

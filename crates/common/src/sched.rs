@@ -51,8 +51,8 @@
 //! A job body borrows the submitter's stack (plans, partition tables,
 //! metrics). The pool's workers are `'static` threads, so the borrow is
 //! lifetime-erased into a raw pointer with a strict protocol: every deref
-//! happens between a successful [`Job::claim`] (which increments the
-//! running count under the job lock) and the matching [`Job::complete`];
+//! happens between a successful `Job::claim` (which increments the
+//! running count under the job lock) and the matching `Job::complete`;
 //! `done` is set only when no task is running and none can be claimed;
 //! and [`run_job`] returns only after observing `done`. Hence no worker
 //! can touch the body after `run_job` returns.

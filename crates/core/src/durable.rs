@@ -11,7 +11,7 @@
 //!    chain key, manifest sealing key, counter key, and client channel
 //!    keys, so clients that pinned the enclave across the crash keep
 //!    their pins (and their `SeqIntervals`).
-//! 2. **Every committed mutation is logged.** A [`WalSink`] is installed
+//! 2. **Every committed mutation is logged.** A `WalSink` is installed
 //!    as the engine's durability sink: records append (MAC-chained) under
 //!    the commit-order lock, and the commit does not return until its
 //!    record is fsynced (group commit inside the WAL).

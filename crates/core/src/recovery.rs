@@ -49,7 +49,7 @@ impl VeriDb {
     /// `h(WS)` as a side effect, exactly as §5.1 describes.
     ///
     /// This is the same replay engine disk recovery uses
-    /// ([`replay_tables`]) — one replay path, two sources: an in-process
+    /// (`replay_tables`) — one replay path, two sources: an in-process
     /// [`Replica`] snapshot here, a sealed on-disk snapshot + WAL tail in
     /// [`VeriDb::open_durable`].
     pub fn recover_from_replica(config: VeriDbConfig, replica: &Replica) -> Result<VeriDb> {

@@ -2,17 +2,23 @@
 //!
 //! [`RemoteClient`] speaks the frame protocol to a `veridb serve` endpoint
 //! and reuses the in-process [`veridb_query::Client`] *unchanged* for every
-//! security decision: quote verification at handshake, query signing,
-//! endorsement MACs, and the `SeqIntervals` rollback defense. The network
-//! layer adds only transport concerns — framing, timeouts, bounded-backoff
-//! reconnect — and a strict error taxonomy:
+//! security decision: query signing, endorsement MACs, and the
+//! `SeqIntervals` rollback defense. Quote verification happens once per
+//! connection in `attested_connect`, the handshake the warm replica's
+//! log subscription uses too. The network layer adds only transport
+//! concerns — framing, timeouts, bounded-backoff reconnect — and a strict
+//! error taxonomy, applied by the one request loop that
+//! [`RemoteClient::query`], [`RemoteClient::query_batch`] and
+//! [`RemoteClient::query_pipelined`] share:
 //!
 //! - **Transport errors** ([`Error::Net`]): retryable. A lost connection
 //!   while *sending* a query is retried automatically with the *same*
 //!   signed query (the portal spends a qid only on endorsement, so the
-//!   retry is safe). A loss while *awaiting* a response is surfaced to the
-//!   caller, because the server may already have endorsed the result and a
-//!   blind retry would be indistinguishable from a replay.
+//!   retry is safe) — but only when no other query of the call is in
+//!   flight, whose answer a reconnect would lose. A loss while *awaiting*
+//!   a response is surfaced to the caller, because the server may already
+//!   have endorsed the result and a blind retry would be
+//!   indistinguishable from a replay.
 //! - **Overload refusals** ([`Error::Overloaded`]): retryable by
 //!   construction — the server refused the query at admission, before any
 //!   portal saw it, so its qid is unspent and the *identical* signed query
@@ -24,7 +30,9 @@
 //!   session: the connection keeps serving subsequent queries. A stale
 //!   qid with a *different* endorsement is a conflicting answer for a
 //!   spent sequence number and goes through full verification, where the
-//!   rollback defense rejects it.
+//!   rollback defense rejects it. An `ERROR` echo for a qid that is not in
+//!   flight (the portal refusing an adversary's replay of a query already
+//!   answered) is skipped: the defense worked.
 //! - **Verification failures** (`AuthFailed`, `RollbackDetected`,
 //!   `ReplayDetected`, `VerificationFailed`, `TamperDetected`): never
 //!   retried, never downgraded. They propagate exactly as the in-process
@@ -35,7 +43,7 @@
 //! counter is then caught as [`Error::RollbackDetected`], which is
 //! precisely the §5.1 rollback story extended to the wire.
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{net_err, read_frame, write_frame};
 use crate::proto::{
     decode_error, decode_quote, decode_result, encode_hello, encode_query, MSG_BYE, MSG_ERROR,
     MSG_HELLO, MSG_QUERY, MSG_QUOTE, MSG_RESULT, MSG_STATS, MSG_STATS_OK,
@@ -45,7 +53,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
 use std::time::Duration;
 use veridb_common::backoff::{Backoff, RETRY_ATTEMPTS};
-use veridb_common::{Error, Result, Row};
+use veridb_common::{Error, Result};
 use veridb_enclave::attestation::{Quote, QuoteVerifier, Report};
 use veridb_enclave::mac::Mac;
 use veridb_enclave::{mac::sha256, MacKey, Measurement, QuotingEnclave};
@@ -60,6 +68,79 @@ use veridb_query::{Client, QueryResult, SignedQuery};
 /// `RollbackDetected` instead of passing silently.
 const RECENT_QUERIES: usize = 64;
 
+/// Connect to `addr`, run the attestation handshake on `channel` with a
+/// fresh nonce, and verify the enclave's quote against `expected`.
+/// Returns the connection, with `timeout` set on reads and writes, and
+/// the channel key the verified quote came with.
+pub(crate) fn attested_connect(
+    addr: &str,
+    channel: &str,
+    verifier: &QuoteVerifier,
+    expected: Measurement,
+    timeout: Duration,
+) -> Result<(TcpStream, [u8; 32])> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| net_err(addr, "connect", e))?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .map_err(|e| net_err(addr, "set_read_timeout", e))?;
+    stream
+        .set_write_timeout(Some(timeout))
+        .map_err(|e| net_err(addr, "set_write_timeout", e))?;
+    // Fresh random nonce per handshake: a replayed quote from an old
+    // session fails the nonce binding.
+    let mut nonce = [0u8; 32];
+    veridb_common::rng::os_random(&mut nonce);
+    write_frame(&mut stream, addr, MSG_HELLO, &encode_hello(channel, &nonce))?;
+    let (kind, payload) = read_frame(&mut stream, addr)?;
+    if kind != MSG_QUOTE {
+        return Err(net_err(
+            addr,
+            "handshake",
+            format!("expected QUOTE, got kind {kind}"),
+        ));
+    }
+    let msg = decode_quote(&payload)?;
+    let quote = Quote {
+        report: Report {
+            measurement: Measurement::from_bytes(msg.measurement),
+            user_data: msg.user_data,
+        },
+        signature: msg.signature,
+    };
+    verifier
+        .verify(&quote, expected, &nonce)
+        .map_err(|e| Error::AuthFailed(format!("attestation failed: {e}")))?;
+    Ok((stream, msg.key))
+}
+
+/// [`attested_connect`] with bounded-backoff retries on transport
+/// failures; verification failures abort immediately.
+fn connect_retrying(
+    addr: &str,
+    channel: &str,
+    verifier: &QuoteVerifier,
+    expected: Measurement,
+    timeout: Duration,
+) -> Result<(TcpStream, [u8; 32])> {
+    let mut backoff = Backoff::new();
+    let mut last = net_err(addr, "connect", "no attempt made");
+    for _ in 0..RETRY_ATTEMPTS {
+        match attested_connect(addr, channel, verifier, expected, timeout) {
+            Err(e) if !e.is_security_violation() => {
+                last = e;
+                backoff.wait();
+            }
+            done => return done,
+        }
+    }
+    Err(last)
+}
+
+/// Fingerprint of a channel key, pinned at first attestation.
+fn key_id(key: &[u8; 32]) -> [u8; 32] {
+    sha256(&[b"net-channel-key", key])
+}
+
 /// A remote VeriDB client over the untrusted wire.
 pub struct RemoteClient {
     addr: String,
@@ -69,11 +150,11 @@ pub struct RemoteClient {
     timeout: Duration,
     stream: Option<TcpStream>,
     /// The in-process verifying client; survives reconnects.
-    inner: Option<Client>,
+    inner: Client,
     /// Fingerprint of the channel key accepted at first attestation. A
     /// different key on reconnect means a different enclave instance is
     /// answering — rejected rather than silently re-keyed.
-    key_id: Option<[u8; 32]>,
+    key_id: [u8; 32],
     /// Recently answered queries and the endorsement MAC accepted for
     /// each, for classifying stale/replayed responses.
     recent: HashMap<u64, (SignedQuery, Mac)>,
@@ -94,21 +175,20 @@ impl RemoteClient {
         expected: Measurement,
         timeout: Duration,
     ) -> Result<RemoteClient> {
-        let mut c = RemoteClient {
+        let (stream, key) = connect_retrying(addr, channel, &verifier, expected, timeout)?;
+        Ok(RemoteClient {
             addr: addr.to_owned(),
             channel: channel.to_owned(),
             verifier,
             expected,
             timeout,
-            stream: None,
-            inner: None,
-            key_id: None,
+            stream: Some(stream),
+            inner: Client::with_key(MacKey::new(key)),
+            key_id: key_id(&key),
             recent: HashMap::new(),
             recent_order: Vec::new(),
             duplicates_refused: 0,
-        };
-        c.reconnect()?;
-        Ok(c)
+        })
     }
 
     /// [`RemoteClient::connect`] against the simulated attestation
@@ -126,32 +206,34 @@ impl RemoteClient {
         Self::connect(addr, channel, verifier, expected, timeout)
     }
 
-    fn net_err(&self, op: &str, detail: impl std::fmt::Display) -> Error {
-        Error::Net {
-            peer: self.addr.clone(),
-            op: op.to_owned(),
-            detail: detail.to_string(),
-        }
-    }
-
     /// (Re-)establish the TCP connection and re-run the attestation
     /// handshake with a fresh nonce, with bounded-backoff retries on
-    /// transport failures. Verification failures abort immediately.
+    /// transport failures. The quote must verify *and* the channel key
+    /// must be the one this client's sequence history is bound to: a
+    /// different key means a different enclave instance, treated as an
+    /// impersonation/rollback attempt.
     pub fn reconnect(&mut self) -> Result<()> {
         self.stream = None;
-        let mut backoff = Backoff::new();
-        let mut last = self.net_err("connect", "no attempt made");
-        for _ in 0..RETRY_ATTEMPTS {
-            match self.try_handshake() {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_security_violation() => return Err(e),
-                Err(e) => {
-                    last = e;
-                    backoff.wait();
-                }
-            }
+        let (stream, key) = connect_retrying(
+            &self.addr,
+            &self.channel,
+            &self.verifier,
+            self.expected,
+            self.timeout,
+        )?;
+        if key_id(&key) != self.key_id {
+            return Err(Error::AuthFailed(
+                "channel key changed across reconnect; refusing to re-key a live \
+                 sequence history"
+                    .into(),
+            ));
         }
-        Err(last)
+        self.stream = Some(stream);
+        Ok(())
+    }
+
+    fn net_err(&self, op: &str, detail: impl std::fmt::Display) -> Error {
+        net_err(&self.addr, op, detail)
     }
 
     /// Re-point this client at a different server — the promoted warm
@@ -170,76 +252,6 @@ impl RemoteClient {
         self.reconnect()
     }
 
-    fn try_handshake(&mut self) -> Result<()> {
-        let stream = TcpStream::connect(&self.addr).map_err(|e| self.net_err("connect", e))?;
-        stream
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|e| self.net_err("set_read_timeout", e))?;
-        stream
-            .set_write_timeout(Some(self.timeout))
-            .map_err(|e| self.net_err("set_write_timeout", e))?;
-        let mut stream = stream;
-
-        // Fresh random nonce per handshake: a replayed quote from an old
-        // session fails the nonce binding.
-        let mut nonce = [0u8; 32];
-        veridb_common::rng::os_random(&mut nonce);
-
-        write_frame(
-            &mut stream,
-            &self.addr,
-            MSG_HELLO,
-            &encode_hello(&self.channel, &nonce),
-        )?;
-        let (kind, payload) = read_frame(&mut stream, &self.addr)?;
-        if kind != MSG_QUOTE {
-            return Err(self.net_err("handshake", format!("expected QUOTE, got kind {kind}")));
-        }
-        let msg = decode_quote(&payload)?;
-        let quote = Quote {
-            report: Report {
-                measurement: Measurement::from_bytes(msg.measurement),
-                user_data: msg.user_data,
-            },
-            signature: msg.signature,
-        };
-        let key = MacKey::new(msg.key);
-        let key_id = sha256(&[b"net-channel-key", &msg.key]);
-
-        match (&self.inner, self.key_id) {
-            (None, _) => {
-                // First attestation: full quote check, then accept the key.
-                self.inner = Some(Client::attest_quote(
-                    &self.verifier,
-                    &quote,
-                    self.expected,
-                    &nonce,
-                    key,
-                )?);
-                self.key_id = Some(key_id);
-            }
-            (Some(_), Some(known)) => {
-                // Reconnect: the quote must still verify *and* the channel
-                // key must be the one this client's sequence history is
-                // bound to. A different key means a different enclave
-                // instance — treat as an impersonation/rollback attempt.
-                self.verifier
-                    .verify(&quote, self.expected, &nonce)
-                    .map_err(|e| Error::AuthFailed(format!("attestation failed: {e}")))?;
-                if key_id != known {
-                    return Err(Error::AuthFailed(
-                        "channel key changed across reconnect; refusing to re-key a live \
-                         sequence history"
-                            .into(),
-                    ));
-                }
-            }
-            (Some(_), None) => unreachable!("inner client always records key_id"),
-        }
-        self.stream = Some(stream);
-        Ok(())
-    }
-
     fn remember(&mut self, q: SignedQuery, mac: Mac) {
         if self.recent_order.len() >= RECENT_QUERIES {
             let evict = self.recent_order.remove(0);
@@ -256,147 +268,37 @@ impl RemoteClient {
         self.duplicates_refused
     }
 
-    /// Execute one query remotely with full verification. See the module
-    /// docs for the retry taxonomy.
+    /// Execute one query remotely with full verification: the request
+    /// loop of [`RemoteClient::query_pipelined`] at depth 1. See the
+    /// module docs for the retry taxonomy.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
-        let q = self
-            .inner
-            .as_mut()
-            .expect("connected client has an inner verifier")
-            .sign_query(sql);
-        let mut overload_backoff = Backoff::new();
-        let mut overload_attempt = 0;
+        let mut results = self.query_pipelined(&[sql], 1)?;
+        Ok(results.pop().expect("one query, one result"))
+    }
+
+    /// Send `q`, reconnecting first if the connection is gone. A failed
+    /// send drops the connection and is retried with the same signed
+    /// query (safe: the portal spends a qid only on endorsement) — but
+    /// only when `alone`, i.e. no other query of the call is in flight,
+    /// because the reconnect would lose its answer.
+    fn send_query(&mut self, q: &SignedQuery, alone: bool) -> Result<()> {
+        let mut backoff = Backoff::new();
+        let mut attempt = 0;
         loop {
-            // Send, retrying transport failures with the same signed query
-            // (safe: the portal spends a qid only on endorsement).
-            let mut backoff = Backoff::new();
-            let mut attempt = 0;
-            loop {
-                let send = self.send_query(&q);
-                match send {
-                    Ok(()) => break,
-                    Err(e) if e.is_security_violation() => return Err(e),
-                    Err(e) => {
-                        attempt += 1;
-                        if attempt >= RETRY_ATTEMPTS {
-                            return Err(e);
-                        }
-                        backoff.wait();
-                        self.reconnect()?;
-                    }
-                }
+            if self.stream.is_none() {
+                self.reconnect()?;
             }
-            match self.await_result(q.clone()) {
-                // An admission refusal: the qid is unspent, the identical
-                // signed query may be resent once the server breathes.
-                Err(Error::Overloaded { .. }) if overload_attempt + 1 < RETRY_ATTEMPTS => {
-                    overload_attempt += 1;
-                    overload_backoff.wait();
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn send_query(&mut self, q: &SignedQuery) -> Result<()> {
-        if self.stream.is_none() {
-            self.reconnect()?;
-        }
-        let addr = self.addr.clone();
-        let stream = self.stream.as_mut().expect("reconnect sets stream");
-        write_frame(stream, &addr, MSG_QUERY, &encode_query(q))
-    }
-
-    /// Wait for the response to `q`, verifying every frame that arrives.
-    /// Stale frames for *recently answered* queries are verified too — a
-    /// replayed endorsement carries an already-seen sequence number and
-    /// trips the rollback defense rather than being skipped.
-    fn await_result(&mut self, q: SignedQuery) -> Result<QueryResult> {
-        // Bound on frames examined before giving up; stale responses from
-        // pipelined/replayed traffic are each handled in one iteration.
-        for _ in 0..(RECENT_QUERIES * 2) {
-            let addr = self.addr.clone();
-            let stream = self.stream.as_mut().ok_or_else(|| Error::Net {
-                peer: addr.clone(),
-                op: "await result".into(),
-                detail: "connection lost".into(),
-            })?;
-            let (kind, payload) = match read_frame(stream, &addr) {
-                Ok(f) => f,
-                Err(e) => {
-                    // The server may already have endorsed this qid; a
-                    // silent resend would look like a replay. Surface the
-                    // transport error and drop the connection.
-                    self.stream = None;
-                    return Err(e);
-                }
+            let stream = self.stream.as_mut().expect("reconnect sets stream");
+            let Err(e) = write_frame(stream, &self.addr, MSG_QUERY, &encode_query(q)) else {
+                return Ok(());
             };
-            match kind {
-                MSG_RESULT => {
-                    let endorsed = decode_result(&payload)?;
-                    let inner = self.inner.as_mut().expect("inner set after handshake");
-                    if endorsed.qid == q.qid {
-                        let rows = inner.verify_result(&q, &endorsed)?;
-                        let result = QueryResult {
-                            columns: endorsed.result.columns,
-                            rows,
-                        };
-                        self.remember(q, endorsed.mac);
-                        return Ok(result);
-                    }
-                    // A result for a query we did not just send. If it is
-                    // byte-identical to one we recently completed, it is a
-                    // transport-level replay: refuse it (counted) and keep
-                    // the session. A *different* endorsement for a spent
-                    // qid is verified in full — its sequence number is
-                    // already recorded, so it trips the rollback defense.
-                    // Unknown qids are unauthenticated noise → AuthFailed.
-                    match self.recent.get(&endorsed.qid) {
-                        Some((_, mac)) if mac.0 == endorsed.mac.0 => {
-                            self.duplicates_refused += 1;
-                            continue;
-                        }
-                        Some((orig, _)) => {
-                            inner.verify_result(orig, &endorsed)?;
-                            // Verified but conflict-free: genuinely
-                            // impossible (sequence already recorded), but
-                            // be explicit rather than continue silently.
-                            return Err(Error::AuthFailed(format!(
-                                "unexpected duplicate result for qid {}",
-                                endorsed.qid
-                            )));
-                        }
-                        None => {
-                            return Err(Error::AuthFailed(format!(
-                                "result for unknown qid {} (expected {})",
-                                endorsed.qid, q.qid
-                            )))
-                        }
-                    }
-                }
-                MSG_ERROR => {
-                    let (eqid, err) = decode_error(&payload)?;
-                    if eqid == q.qid || eqid == 0 {
-                        return Err(err);
-                    }
-                    // An error echo for an older qid (e.g. the portal
-                    // rejecting an attacker's replay of a query we already
-                    // completed). The defense worked; keep waiting for our
-                    // own response.
-                    continue;
-                }
-                MSG_BYE => {
-                    self.stream = None;
-                    return Err(self.net_err("await result", "server closed the session"));
-                }
-                other => {
-                    return Err(
-                        self.net_err("await result", format!("unexpected frame kind {other}"))
-                    );
-                }
+            self.stream = None;
+            attempt += 1;
+            if !alone || e.is_security_violation() || attempt >= RETRY_ATTEMPTS {
+                return Err(e);
             }
+            backoff.wait();
         }
-        Err(self.net_err("await result", "no response after examining stale frames"))
     }
 
     /// Execute a batch of queries pipelined on one connection: all signed
@@ -409,120 +311,145 @@ impl RemoteClient {
     }
 
     /// Execute `sqls` with at most `depth` queries in flight at once on
-    /// this connection. The server processes one connection's queries
-    /// serially and delivers `RESULT` frames in submission order; this
-    /// method additionally absorbs two benign interleavings:
+    /// this connection — the one request loop every query goes through.
+    /// The server processes one connection's queries serially and
+    /// delivers `RESULT` frames in submission order; the loop verifies
+    /// every frame that arrives (a stale endorsement carries an
+    /// already-seen sequence number and trips the rollback defense rather
+    /// than being skipped) and absorbs three benign interleavings:
     ///
     /// - [`Error::Overloaded`] refusals (the qid is unspent) — the
     ///   identical signed query is resent after a bounded backoff, up to
     ///   [`RETRY_ATTEMPTS`] times per query;
     /// - byte-identical duplicate `RESULT` frames — refused and counted
     ///   ([`RemoteClient::duplicates_refused`]) without disturbing the
-    ///   in-flight window.
+    ///   in-flight window;
+    /// - `ERROR` echoes for a qid not in flight, such as the portal's
+    ///   refusal of a replayed query frame.
     ///
+    /// At most `RECENT_QUERIES * 2` such stale frames are read per call.
     /// Results are returned in the order of `sqls`. Any verification
     /// failure aborts the whole pipeline.
     pub fn query_pipelined(&mut self, sqls: &[&str], depth: usize) -> Result<Vec<QueryResult>> {
         let depth = depth.max(1);
-        let inner = self
-            .inner
-            .as_mut()
-            .expect("connected client has an inner verifier");
-        let queries: Vec<SignedQuery> = sqls.iter().map(|s| inner.sign_query(s)).collect();
-        let total = queries.len();
-        let mut next = 0usize;
+        let queries: Vec<SignedQuery> = sqls.iter().map(|s| self.inner.sign_query(s)).collect();
+        let mut results: Vec<Option<QueryResult>> = queries.iter().map(|_| None).collect();
+        let mut answered = 0;
+        let mut next = 0;
         // qid → index into `queries`, for everything in flight.
         let mut pending: HashMap<u64, usize> = HashMap::new();
         // Indices refused with Overloaded, awaiting a resend slot.
         let mut resend: VecDeque<usize> = VecDeque::new();
-        let mut overload_attempts: HashMap<u64, usize> = HashMap::new();
+        let mut refusals = vec![0; queries.len()];
         let mut overload_backoff = Backoff::new();
-        let mut done: HashMap<u64, QueryResult> = HashMap::new();
-        let addr = self.addr.clone();
-        while done.len() < total {
+        let mut stale = 0;
+        while answered < queries.len() {
             // Keep the window full: refused queries first (they are the
             // oldest), then fresh ones.
-            while pending.len() < depth && (!resend.is_empty() || next < total) {
+            while pending.len() < depth {
                 let idx = match resend.pop_front() {
                     Some(idx) => idx,
-                    None => {
-                        let idx = next;
+                    None if next < queries.len() => {
                         next += 1;
-                        idx
+                        next - 1
                     }
+                    None => break,
                 };
-                self.send_query(&queries[idx])?;
+                self.send_query(&queries[idx], pending.is_empty())?;
                 pending.insert(queries[idx].qid, idx);
             }
-            let stream = self.stream.as_mut().ok_or_else(|| Error::Net {
-                peer: addr.clone(),
-                op: "await pipeline".into(),
-                detail: "connection lost".into(),
-            })?;
-            let (kind, payload) = read_frame(stream, &addr).inspect_err(|_| {
+            let stream = self
+                .stream
+                .as_mut()
+                .ok_or_else(|| net_err(&self.addr, "await result", "connection lost"))?;
+            // On a read failure the server may already have endorsed a
+            // query in flight; a silent resend would look like a replay.
+            // Surface the transport error and drop the connection.
+            let (kind, payload) = read_frame(stream, &self.addr).inspect_err(|_| {
                 self.stream = None;
             })?;
             match kind {
                 MSG_RESULT => {
                     let endorsed = decode_result(&payload)?;
-                    let Some(idx) = pending.remove(&endorsed.qid) else {
-                        // Not in flight: a transport replay of a completed
-                        // response is refused harmlessly; anything else is
-                        // unauthenticated noise.
-                        match self.recent.get(&endorsed.qid) {
-                            Some((_, mac)) if mac.0 == endorsed.mac.0 => {
-                                self.duplicates_refused += 1;
-                                continue;
-                            }
-                            _ => {
-                                return Err(Error::AuthFailed(format!(
-                                    "pipeline result for unexpected qid {}",
-                                    endorsed.qid
-                                )))
-                            }
-                        }
-                    };
-                    let inner = self.inner.as_mut().expect("inner set after handshake");
-                    let rows = inner.verify_result(&queries[idx], &endorsed)?;
-                    done.insert(
-                        endorsed.qid,
-                        QueryResult {
+                    if let Some(idx) = pending.remove(&endorsed.qid) {
+                        let rows = self.inner.verify_result(&queries[idx], &endorsed)?;
+                        self.remember(queries[idx].clone(), endorsed.mac);
+                        results[idx] = Some(QueryResult {
                             columns: endorsed.result.columns,
                             rows,
-                        },
-                    );
-                    self.remember(queries[idx].clone(), endorsed.mac);
+                        });
+                        answered += 1;
+                        continue;
+                    }
+                    // A result for a query not in flight. If it is
+                    // byte-identical to one recently completed, it is a
+                    // transport-level replay: refuse it (counted) and keep
+                    // the session. A *different* endorsement for a spent
+                    // qid is verified in full — its sequence number is
+                    // already recorded, so it trips the rollback defense.
+                    // Unknown qids are unauthenticated noise → AuthFailed.
+                    match self.recent.get(&endorsed.qid) {
+                        Some((_, mac)) if mac.0 == endorsed.mac.0 => self.duplicates_refused += 1,
+                        Some((orig, _)) => {
+                            self.inner.verify_result(orig, &endorsed)?;
+                            // Verified but conflict-free: genuinely
+                            // impossible (sequence already recorded), but
+                            // be explicit rather than continue silently.
+                            return Err(Error::AuthFailed(format!(
+                                "unexpected duplicate result for qid {}",
+                                endorsed.qid
+                            )));
+                        }
+                        None => {
+                            return Err(Error::AuthFailed(format!(
+                                "result for unknown qid {}",
+                                endorsed.qid
+                            )))
+                        }
+                    }
                 }
                 MSG_ERROR => {
                     let (eqid, err) = decode_error(&payload)?;
-                    match (&err, pending.get(&eqid)) {
-                        (Error::Overloaded { .. }, Some(&idx)) => {
-                            let attempts = overload_attempts.entry(eqid).or_insert(0);
-                            *attempts += 1;
-                            if *attempts >= RETRY_ATTEMPTS {
-                                return Err(err);
-                            }
-                            pending.remove(&eqid);
-                            resend.push_back(idx);
-                            overload_backoff.wait();
+                    if let (Error::Overloaded { .. }, Some(&idx)) = (&err, pending.get(&eqid)) {
+                        // An admission refusal: the qid is unspent, the
+                        // identical signed query may be resent once the
+                        // server breathes.
+                        refusals[idx] += 1;
+                        if refusals[idx] >= RETRY_ATTEMPTS {
+                            return Err(err);
                         }
-                        _ => return Err(err),
+                        pending.remove(&eqid);
+                        resend.push_back(idx);
+                        overload_backoff.wait();
+                        continue;
                     }
+                    let in_flight = pending.contains_key(&eqid)
+                        || resend.iter().any(|&idx| queries[idx].qid == eqid);
+                    if eqid == 0 || in_flight {
+                        return Err(err);
+                    }
+                    // An echo for a query not in flight (e.g. the portal
+                    // rejecting an adversary's replay of a query already
+                    // answered). The defense worked; keep waiting.
                 }
                 MSG_BYE => {
                     self.stream = None;
-                    return Err(self.net_err("await pipeline", "server closed the session"));
+                    return Err(self.net_err("await result", "server closed the session"));
                 }
                 other => {
                     return Err(
-                        self.net_err("await pipeline", format!("unexpected frame kind {other}"))
+                        self.net_err("await result", format!("unexpected frame kind {other}"))
                     );
                 }
             }
+            stale += 1;
+            if stale >= RECENT_QUERIES * 2 {
+                return Err(self.net_err("await result", "too many stale frames"));
+            }
         }
-        Ok(queries
-            .iter()
-            .map(|q| done.remove(&q.qid).expect("every pending qid completed"))
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("every query answered"))
             .collect())
     }
 
@@ -531,10 +458,9 @@ impl RemoteClient {
         if self.stream.is_none() {
             self.reconnect()?;
         }
-        let addr = self.addr.clone();
         let stream = self.stream.as_mut().expect("reconnect sets stream");
-        write_frame(stream, &addr, MSG_STATS, &[])?;
-        let (kind, payload) = read_frame(stream, &addr)?;
+        write_frame(stream, &self.addr, MSG_STATS, &[])?;
+        let (kind, payload) = read_frame(stream, &self.addr)?;
         if kind != MSG_STATS_OK {
             return Err(self.net_err("stats", format!("unexpected frame kind {kind}")));
         }
@@ -543,19 +469,14 @@ impl RemoteClient {
 
     /// The client's rollback-defense storage footprint, in intervals.
     pub fn sequence_intervals(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map(|c| c.sequence_intervals())
-            .unwrap_or(0)
+        self.inner.sequence_intervals()
     }
 
     /// Orderly close (best effort).
     pub fn close(&mut self) {
-        if let Some(stream) = self.stream.as_mut() {
-            let addr = self.addr.clone();
-            let _ = write_frame(stream, &addr, MSG_BYE, &[]);
+        if let Some(mut stream) = self.stream.take() {
+            let _ = write_frame(&mut stream, &self.addr, MSG_BYE, &[]);
         }
-        self.stream = None;
     }
 }
 
@@ -574,10 +495,4 @@ impl std::fmt::Debug for RemoteClient {
             .field("seq_intervals", &self.sequence_intervals())
             .finish_non_exhaustive()
     }
-}
-
-/// Convenience: rows of a verified query, mirroring the in-process
-/// `Client::verify_result` return shape.
-pub fn rows_of(result: &QueryResult) -> &[Row] {
-    &result.rows
 }

@@ -37,7 +37,7 @@ pub const MAX_FRAME_BYTES: usize = 32 * 1024 * 1024;
 /// codec via `veridb_common::crc`.
 pub use veridb_common::crc::crc32;
 
-fn net_err(peer: &str, op: &str, detail: impl std::fmt::Display) -> Error {
+pub(crate) fn net_err(peer: &str, op: &str, detail: impl std::fmt::Display) -> Error {
     Error::Net {
         peer: peer.to_owned(),
         op: op.to_owned(),

@@ -17,8 +17,9 @@
 //!    (`SHIP_META`) so both sides derive identical keys. The blob is
 //!    sealed under the simulated CPU-fuse key: useless to anyone who
 //!    cannot launch the same enclave.
-//! 2. [`ShipSubscription`] — attested handshake (the replica verifies
-//!    the primary's quote like any client), then `SHIP_SUB(from_lsn)`;
+//! 2. [`ShipSubscription`] — the attested handshake
+//!    [`RemoteClient`](crate::RemoteClient) runs (the replica verifies the primary's quote like any client, on
+//!    the reserved `__ship__` channel), then `SHIP_SUB(from_lsn)`;
 //!    the primary answers `SHIP_META` and streams `SHIP` batches, empty
 //!    batches doubling as heartbeats.
 //! 3. [`run_replica`] — the apply loop: [`VeriDb::apply_shipped`] per
@@ -35,11 +36,11 @@
 //!    shared sealed entropy, so the attestation re-check passes and no
 //!    sequence number ever repeats.
 
-use crate::frame::{read_frame, write_frame};
+use crate::client::attested_connect;
+use crate::frame::{net_err, read_frame, write_frame};
 use crate::proto::{
-    decode_error, decode_quote, decode_ship, decode_ship_meta, encode_hello, encode_ship_ack,
-    encode_ship_sub, ShipMeta, MSG_BYE, MSG_ERROR, MSG_HELLO, MSG_QUOTE, MSG_SHIP, MSG_SHIP_ACK,
-    MSG_SHIP_META, MSG_SHIP_SUB,
+    decode_error, decode_ship, decode_ship_meta, encode_ship_ack, encode_ship_sub, ShipMeta,
+    MSG_BYE, MSG_ERROR, MSG_SHIP, MSG_SHIP_ACK, MSG_SHIP_META, MSG_SHIP_SUB,
 };
 use crate::server::SIM_ATTESTATION_ROOT;
 use std::net::TcpStream;
@@ -49,7 +50,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use veridb::{LogRecord, VeriDb};
 use veridb_common::{Error, Result};
-use veridb_enclave::attestation::{Quote, Report};
 use veridb_enclave::{Measurement, QuotingEnclave};
 
 /// Consecutive failed reconnect probes before the replica declares the
@@ -87,51 +87,16 @@ impl ShipSubscription {
         from_lsn: u64,
         timeout: Duration,
     ) -> Result<ShipSubscription> {
-        let net_err = |op: &str, detail: String| Error::Net {
-            peer: addr.to_owned(),
-            op: op.into(),
-            detail,
-        };
-        let stream = TcpStream::connect(addr).map_err(|e| net_err("connect", e.to_string()))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| net_err("set_read_timeout", e.to_string()))?;
-        stream
-            .set_write_timeout(Some(timeout))
-            .map_err(|e| net_err("set_write_timeout", e.to_string()))?;
-        let mut stream = stream;
-
-        // The replica is a client of the primary: same attested handshake,
-        // fresh nonce, full quote verification. A fake primary cannot feed
-        // us a log (and could not have MAC-chained one anyway).
-        let mut nonce = [0u8; 32];
-        veridb_common::rng::os_random(&mut nonce);
-        write_frame(
-            &mut stream,
+        // The replica is a client of the primary: the same attested
+        // handshake, fresh nonce, full quote verification. A fake primary
+        // cannot feed us a log (and could not have MAC-chained one anyway).
+        let (mut stream, _) = attested_connect(
             addr,
-            MSG_HELLO,
-            &encode_hello("__ship__", &nonce),
+            "__ship__",
+            &QuotingEnclave::new(SIM_ATTESTATION_ROOT).verifier(),
+            Measurement::of_code(identity.as_bytes()),
+            timeout,
         )?;
-        let (kind, payload) = read_frame(&mut stream, addr)?;
-        if kind != MSG_QUOTE {
-            return Err(net_err(
-                "handshake",
-                format!("expected QUOTE, got kind {kind}"),
-            ));
-        }
-        let msg = decode_quote(&payload)?;
-        let quote = Quote {
-            report: Report {
-                measurement: Measurement::from_bytes(msg.measurement),
-                user_data: msg.user_data,
-            },
-            signature: msg.signature,
-        };
-        QuotingEnclave::new(SIM_ATTESTATION_ROOT)
-            .verifier()
-            .verify(&quote, Measurement::of_code(identity.as_bytes()), &nonce)
-            .map_err(|e| Error::AuthFailed(format!("primary attestation failed: {e}")))?;
-
         write_frame(&mut stream, addr, MSG_SHIP_SUB, &encode_ship_sub(from_lsn))?;
         let (kind, payload) = read_frame(&mut stream, addr)?;
         let meta = match kind {
@@ -139,6 +104,7 @@ impl ShipSubscription {
             MSG_ERROR => return Err(decode_error(&payload)?.1),
             other => {
                 return Err(net_err(
+                    addr,
                     "subscribe",
                     format!("expected SHIP_META, got kind {other}"),
                 ))
@@ -163,16 +129,16 @@ impl ShipSubscription {
         match kind {
             MSG_SHIP => decode_ship(&payload),
             MSG_ERROR => Err(decode_error(&payload)?.1),
-            MSG_BYE => Err(Error::Net {
-                peer: self.addr.clone(),
-                op: "ship".into(),
-                detail: "primary closed the subscription".into(),
-            }),
-            other => Err(Error::Net {
-                peer: self.addr.clone(),
-                op: "ship".into(),
-                detail: format!("unexpected frame kind {other}"),
-            }),
+            MSG_BYE => Err(net_err(
+                &self.addr,
+                "ship",
+                "primary closed the subscription",
+            )),
+            other => Err(net_err(
+                &self.addr,
+                "ship",
+                format!("unexpected frame kind {other}"),
+            )),
         }
     }
 
@@ -223,7 +189,7 @@ pub fn ensure_replica_seed(
 
 /// The warm-replica apply loop. Blocks until `stop` is raised (returns
 /// [`ReplicaOutcome::Stopped`]) or the primary is declared dead after
-/// [`PROMOTE_PROBES`] failed reconnects, in which case the database is
+/// `PROMOTE_PROBES` failed reconnects, in which case the database is
 /// [promoted](VeriDb::promote) and the loop returns
 /// [`ReplicaOutcome::Promoted`]. Security violations — a feed that fails
 /// chain verification, an attestation mismatch — abort immediately and

@@ -18,7 +18,7 @@
 //! # Architecture
 //!
 //! A single **reactor** thread owns the listener and every socket. It
-//! runs a level-triggered epoll loop ([`crate::poll`]), decodes bytes
+//! runs a level-triggered epoll loop (`crate::poll`), decodes bytes
 //! incrementally ([`crate::frame::FrameDecoder`]), and dispatches
 //! complete frames as **connection turns onto the process-wide scheduler
 //! pool** ([`veridb_common::sched`]) — the same fixed worker set that

@@ -12,10 +12,7 @@
 use crate::portal::{result_digest, EndorsedResult, SignedQuery};
 use std::collections::BTreeMap;
 use veridb_common::{Error, Result, Row};
-use veridb_enclave::{
-    attestation::{Quote, QuoteVerifier},
-    Enclave, MacKey, Measurement, QuotingEnclave,
-};
+use veridb_enclave::{attestation::QuoteVerifier, Enclave, MacKey, Measurement, QuotingEnclave};
 
 /// A compressed set of `u64`s stored as disjoint inclusive intervals.
 #[derive(Debug, Default, Clone)]
@@ -114,28 +111,10 @@ impl Client {
         nonce: &[u8],
     ) -> Result<Client> {
         let quote = enclave.quote(qe, nonce);
-        Client::attest_quote(verifier, &quote, expected, nonce, channel_key)
-    }
-
-    /// Transport-agnostic attestation: verify a quote that was obtained
-    /// elsewhere (e.g. decoded off the wire by `veridb-net`) rather than by
-    /// calling into a local enclave. The checks are identical to
-    /// [`Client::attest`]; only the quote's provenance differs.
-    pub fn attest_quote(
-        verifier: &QuoteVerifier,
-        quote: &Quote,
-        expected: Measurement,
-        nonce: &[u8],
-        channel_key: MacKey,
-    ) -> Result<Client> {
         verifier
-            .verify(quote, expected, nonce)
+            .verify(&quote, expected, nonce)
             .map_err(|e| Error::AuthFailed(format!("attestation failed: {e}")))?;
-        Ok(Client {
-            key: channel_key,
-            next_qid: 1,
-            seqs: SeqIntervals::new(),
-        })
+        Ok(Client::with_key(channel_key))
     }
 
     /// Build a client directly from a pre-exchanged key (tests, or

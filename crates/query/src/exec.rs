@@ -35,7 +35,7 @@ pub fn open(plan: &PhysicalPlan) -> Result<Box<dyn Operator>> {
 
 /// Instantiate the operator tree for a plan under an execution context
 /// (spilling of large intermediate state per §5.4). Every operator is
-/// wrapped in a [`MeteredOp`] that counts rows produced per operator kind
+/// wrapped in a `MeteredOp` that counts rows produced per operator kind
 /// into the context's registry.
 pub fn open_ctx(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
     let (kind, op): (OperatorKind, Box<dyn Operator>) = match plan {

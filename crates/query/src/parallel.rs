@@ -27,7 +27,7 @@
 //! batched cursors against the already-thread-safe wrcm partitions, so
 //! RS/WS accounting stays balanced exactly as in the serial path.
 //!
-//! Determinism: the number of morsels is fixed by [`MORSEL_TARGET`]
+//! Determinism: the number of morsels is fixed by `MORSEL_TARGET`
 //! (independent of the pool size) and results are merged in morsel-index
 //! order, which equals the serial scan's chain order. Scheduling — which
 //! worker runs which morsel, in what real-time order — never affects the
@@ -38,13 +38,13 @@
 //!
 //! The same scheduler backs two post-scan parallel operators:
 //!
-//! - [`PartitionedJoinOp`]: build-side morsels emit partition-hashed row
+//! - `PartitionedJoinOp`: build-side morsels emit partition-hashed row
 //!   buckets; buckets are concatenated in morsel order per partition (so
 //!   every key's row list preserves the serial build's insertion order),
 //!   the per-partition hash tables are built concurrently, and the probe
 //!   side runs in parallel with outputs merged in morsel/chunk order —
 //!   byte-identical to the serial [`HashJoin`](PhysicalPlan::HashJoin).
-//! - [`parallel_sort`]: contiguous input chunks are key-precomputed and
+//! - `parallel_sort`: contiguous input chunks are key-precomputed and
 //!   stably sorted as independent runs (spill-capable via
 //!   [`SpilledRows`]), then merged through a tournament tree whose ties
 //!   break on run index — reproducing a global stable sort exactly.

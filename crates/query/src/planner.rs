@@ -177,7 +177,7 @@ pub enum PhysicalPlan {
         /// The Exchange (parallel region) below.
         input: Box<PhysicalPlan>,
     },
-    /// Parallel partitioned hash join, emitted by [`parallelize`] in place
+    /// Parallel partitioned hash join, emitted by `parallelize` in place
     /// of [`PhysicalPlan::HashJoin`]. Build-side rows are hashed into a
     /// fixed number of partitions (per-morsel buckets concatenated in
     /// morsel order, so per-key row order equals the serial build's
@@ -225,6 +225,104 @@ impl PhysicalPlan {
             | PhysicalPlan::PartitionedJoin { left, right, .. } => (Some(&**left), Some(&**right)),
         };
         first.into_iter().chain(second)
+    }
+
+    /// The owning counterpart of [`PhysicalPlan::inputs`]: rebuild this
+    /// node with `f` applied to each input, in the same order. Everything
+    /// else — an index nested-loop join's inner table included — is kept.
+    pub fn map_inputs(self, mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan) -> PhysicalPlan {
+        let mut f = |b: Box<PhysicalPlan>| Box::new(f(*b));
+        match self {
+            leaf @ PhysicalPlan::TableScan { .. } => leaf,
+            PhysicalPlan::Filter { input, pred } => PhysicalPlan::Filter {
+                input: f(input),
+                pred,
+            },
+            PhysicalPlan::Project {
+                input,
+                exprs,
+                names,
+            } => PhysicalPlan::Project {
+                input: f(input),
+                exprs,
+                names,
+            },
+            PhysicalPlan::IndexNlJoin {
+                outer,
+                inner,
+                inner_chain,
+                outer_key,
+                residual,
+            } => PhysicalPlan::IndexNlJoin {
+                outer: f(outer),
+                inner,
+                inner_chain,
+                outer_key,
+                residual,
+            },
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                residual,
+            } => PhysicalPlan::HashJoin {
+                left: f(left),
+                right: f(right),
+                left_key,
+                right_key,
+                residual,
+            },
+            PhysicalPlan::MergeJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                residual,
+            } => PhysicalPlan::MergeJoin {
+                left: f(left),
+                right: f(right),
+                left_key,
+                right_key,
+                residual,
+            },
+            PhysicalPlan::BlockNlJoin { left, right, pred } => PhysicalPlan::BlockNlJoin {
+                left: f(left),
+                right: f(right),
+                pred,
+            },
+            PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct { input: f(input) },
+            PhysicalPlan::Aggregate { input, group, aggs } => PhysicalPlan::Aggregate {
+                input: f(input),
+                group,
+                aggs,
+            },
+            PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
+                input: f(input),
+                keys,
+            },
+            PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit { input: f(input), n },
+            PhysicalPlan::Exchange { input, workers } => PhysicalPlan::Exchange {
+                input: f(input),
+                workers,
+            },
+            PhysicalPlan::Gather { input } => PhysicalPlan::Gather { input: f(input) },
+            PhysicalPlan::PartitionedJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                residual,
+                workers,
+            } => PhysicalPlan::PartitionedJoin {
+                left: f(left),
+                right: f(right),
+                left_key,
+                right_key,
+                residual,
+                workers,
+            },
+        }
     }
 
     /// Output width (number of columns) of this plan.
@@ -307,30 +405,25 @@ impl PhysicalPlan {
 ///   computing per-morsel partial states and merging them in morsel order
 ///   at a barrier, so grouped aggregation parallelizes without first
 ///   funnelling every input row through a single Gather.
-/// - Other operators recurse structurally; join children are wrapped
+/// - Other operators recurse structurally
+///   ([`PhysicalPlan::map_inputs`]); join children are wrapped
 ///   independently, so a hash join can build and probe from two parallel
 ///   regions.
 ///
-/// With `workers <= 1` the plan is returned untouched, bit-identical to
-/// the serial planner's output.
+/// `plan` is a serial plan: it holds no Exchange, Gather or
+/// PartitionedJoin yet. With `workers <= 1` it is returned untouched,
+/// bit-identical to the serial planner's output.
 pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
     if workers <= 1 {
         return plan;
     }
-    let wrap = |p: PhysicalPlan| -> PhysicalPlan {
-        if driver_scan(&p).is_some() {
-            PhysicalPlan::Gather {
-                input: Box::new(PhysicalPlan::Exchange {
-                    input: Box::new(p),
-                    workers,
-                }),
-            }
-        } else {
-            p
-        }
-    };
     if driver_scan(&plan).is_some() {
-        return wrap(plan);
+        return PhysicalPlan::Gather {
+            input: Box::new(PhysicalPlan::Exchange {
+                input: Box::new(plan),
+                workers,
+            }),
+        };
     }
     match plan {
         PhysicalPlan::Aggregate { input, group, aggs } if driver_scan(&input).is_some() => {
@@ -340,32 +433,6 @@ pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
                 aggs,
             }
         }
-        PhysicalPlan::Filter { input, pred } => PhysicalPlan::Filter {
-            input: Box::new(parallelize(*input, workers)),
-            pred,
-        },
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            names,
-        } => PhysicalPlan::Project {
-            input: Box::new(parallelize(*input, workers)),
-            exprs,
-            names,
-        },
-        PhysicalPlan::IndexNlJoin {
-            outer,
-            inner,
-            inner_chain,
-            outer_key,
-            residual,
-        } => PhysicalPlan::IndexNlJoin {
-            outer: Box::new(parallelize(*outer, workers)),
-            inner,
-            inner_chain,
-            outer_key,
-            residual,
-        },
         // Hash joins become partitioned joins: the build side is hashed
         // into per-morsel partition buckets and the per-partition tables
         // built concurrently; the probe side runs in parallel too. A
@@ -379,64 +446,23 @@ pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
             right_key,
             residual,
         } => {
-            let left = if driver_scan(&left).is_some() {
-                left
-            } else {
-                Box::new(parallelize(*left, workers))
-            };
-            let right = if driver_scan(&right).is_some() {
-                right
-            } else {
-                Box::new(parallelize(*right, workers))
+            let side = |p: Box<PhysicalPlan>| {
+                if driver_scan(&p).is_some() {
+                    p
+                } else {
+                    Box::new(parallelize(*p, workers))
+                }
             };
             PhysicalPlan::PartitionedJoin {
-                left,
-                right,
+                left: side(left),
+                right: side(right),
                 left_key,
                 right_key,
                 residual,
                 workers,
             }
         }
-        PhysicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            residual,
-        } => PhysicalPlan::MergeJoin {
-            left: Box::new(parallelize(*left, workers)),
-            right: Box::new(parallelize(*right, workers)),
-            left_key,
-            right_key,
-            residual,
-        },
-        PhysicalPlan::BlockNlJoin { left, right, pred } => PhysicalPlan::BlockNlJoin {
-            left: Box::new(parallelize(*left, workers)),
-            right: Box::new(parallelize(*right, workers)),
-            pred,
-        },
-        PhysicalPlan::Aggregate { input, group, aggs } => PhysicalPlan::Aggregate {
-            input: Box::new(parallelize(*input, workers)),
-            group,
-            aggs,
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(parallelize(*input, workers)),
-        },
-        PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(parallelize(*input, workers)),
-            keys,
-        },
-        PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(parallelize(*input, workers)),
-            n,
-        },
-        // Leaves that cannot partition, and already-parallel nodes.
-        other @ (PhysicalPlan::TableScan { .. }
-        | PhysicalPlan::Exchange { .. }
-        | PhysicalPlan::Gather { .. }
-        | PhysicalPlan::PartitionedJoin { .. }) => other,
+        other => other.map_inputs(|input| parallelize(input, workers)),
     }
 }
 

@@ -173,3 +173,120 @@ fn duplicate_aliases_rejected() {
         .execute("SELECT * FROM m a, m a WHERE a.id = a.id")
         .is_err());
 }
+
+#[test]
+fn map_inputs_with_identity_is_the_identity_on_every_variant() {
+    use veridb_query::ast::{AggFunc, Expr};
+    use veridb_query::planner::{AccessPath, PhysicalPlan};
+    let eng = setup();
+    let table = eng.catalog().table("m").unwrap();
+    let scan = || {
+        Box::new(PhysicalPlan::TableScan {
+            table: Arc::clone(&table),
+            access: AccessPath::Full,
+            residual: Some(Expr::ColumnRef(1)),
+        })
+    };
+    let residual = || Some(Expr::Literal(Value::Int(1)));
+    let plans = vec![
+        *scan(),
+        PhysicalPlan::Filter {
+            input: scan(),
+            pred: Expr::ColumnRef(0),
+        },
+        PhysicalPlan::Project {
+            input: scan(),
+            exprs: vec![Expr::ColumnRef(3)],
+            names: vec!["note".into()],
+        },
+        PhysicalPlan::IndexNlJoin {
+            outer: scan(),
+            inner: Arc::clone(&table),
+            inner_chain: 1,
+            outer_key: 2,
+            residual: residual(),
+        },
+        PhysicalPlan::HashJoin {
+            left: scan(),
+            right: scan(),
+            left_key: 0,
+            right_key: 1,
+            residual: residual(),
+        },
+        PhysicalPlan::MergeJoin {
+            left: scan(),
+            right: scan(),
+            left_key: 1,
+            right_key: 0,
+            residual: None,
+        },
+        PhysicalPlan::BlockNlJoin {
+            left: scan(),
+            right: scan(),
+            pred: residual(),
+        },
+        PhysicalPlan::Distinct { input: scan() },
+        PhysicalPlan::Aggregate {
+            input: scan(),
+            group: vec![Expr::ColumnRef(2)],
+            aggs: vec![
+                (AggFunc::Count, None),
+                (AggFunc::Sum, Some(Expr::ColumnRef(1))),
+            ],
+        },
+        PhysicalPlan::Sort {
+            input: scan(),
+            keys: vec![(Expr::ColumnRef(1), true)],
+        },
+        PhysicalPlan::Limit {
+            input: scan(),
+            n: 7,
+        },
+        PhysicalPlan::Exchange {
+            input: scan(),
+            workers: 3,
+        },
+        PhysicalPlan::Gather { input: scan() },
+        PhysicalPlan::PartitionedJoin {
+            left: scan(),
+            right: scan(),
+            left_key: 0,
+            right_key: 2,
+            residual: residual(),
+            workers: 4,
+        },
+    ];
+    // Adding a variant breaks this match until the variant has an
+    // instance above.
+    let mut covered = [false; 14];
+    for p in &plans {
+        covered[match p {
+            PhysicalPlan::TableScan { .. } => 0,
+            PhysicalPlan::Filter { .. } => 1,
+            PhysicalPlan::Project { .. } => 2,
+            PhysicalPlan::IndexNlJoin { .. } => 3,
+            PhysicalPlan::HashJoin { .. } => 4,
+            PhysicalPlan::MergeJoin { .. } => 5,
+            PhysicalPlan::BlockNlJoin { .. } => 6,
+            PhysicalPlan::Distinct { .. } => 7,
+            PhysicalPlan::Aggregate { .. } => 8,
+            PhysicalPlan::Sort { .. } => 9,
+            PhysicalPlan::Limit { .. } => 10,
+            PhysicalPlan::Exchange { .. } => 11,
+            PhysicalPlan::Gather { .. } => 12,
+            PhysicalPlan::PartitionedJoin { .. } => 13,
+        }] = true;
+    }
+    assert!(covered.iter().all(|&c| c), "{covered:?}");
+    for p in plans {
+        let before = format!("{p:?}");
+        let visited: Vec<String> = p.inputs().map(|c| format!("{c:?}")).collect();
+        let mut mapped = Vec::new();
+        let same = p.map_inputs(|c| {
+            mapped.push(format!("{c:?}"));
+            c
+        });
+        assert_eq!(visited, mapped, "{before}");
+        assert_eq!(format!("{same:?}"), before);
+    }
+}

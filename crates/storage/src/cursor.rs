@@ -30,7 +30,6 @@ use crate::table::Table;
 use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
-use veridb_common::backoff::{Backoff, RETRY_ATTEMPTS};
 use veridb_common::obs::{Metric, Metrics};
 use veridb_common::{Error, Result, Row, Value};
 use veridb_wrcm::{ReadBatch, SlotId};
@@ -153,43 +152,31 @@ impl VerifiedScan {
     /// verification and benign-race retries.
     fn resolve(&mut self, key: &ChainKey) -> Result<StoredRecord> {
         self.met().inc(Metric::ScanFallbackRounds);
-        let mut last_err = None;
-        let mut backoff = Backoff::new();
-        for attempt in 0..RETRY_ATTEMPTS {
-            if attempt > 0 {
-                self.met().inc(Metric::ScanBenignRetries);
-                backoff.wait();
-            }
-            let Some(addr) = self.table.index(self.chain).find_exact(key) else {
-                last_err = Some(Error::TamperDetected(format!(
-                    "range scan: chain {} is broken — the index cannot \
-                     resolve nKey {key}; a record may have been omitted",
-                    self.chain
-                )));
-                continue;
-            };
-            let rec = match self.table.read_record(addr) {
-                Ok(r) => r,
-                Err(Error::SlotNotFound { .. }) => {
-                    last_err = Some(Error::TamperDetected(format!(
-                        "range scan: index pointed {key} at a dead slot"
+        let chain = self.chain;
+        let rec = self.table.probe(
+            Some(Metric::ScanBenignRetries),
+            || {
+                self.table.index(chain).find_exact(key).ok_or_else(|| {
+                    Error::TamperDetected(format!(
+                        "range scan: chain {chain} is broken — the index cannot \
+                         resolve nKey {key}; a record may have been omitted"
+                    ))
+                })
+            },
+            || Error::TamperDetected(format!("range scan: index pointed {key} at a dead slot")),
+            |rec| {
+                if rec.key(chain) != key {
+                    return Err(Error::TamperDetected(format!(
+                        "range scan: expected record keyed {key}, index returned \
+                         one keyed {} (condition 3 violated)",
+                        rec.key(chain)
                     )));
-                    continue;
                 }
-                Err(e) => return Err(e),
-            };
-            if rec.key(self.chain) != key {
-                last_err = Some(Error::TamperDetected(format!(
-                    "range scan: expected record keyed {key}, index returned \
-                     one keyed {} (condition 3 violated)",
-                    rec.key(self.chain)
-                )));
-                continue;
-            }
-            self.records_read += 1;
-            return Ok(rec);
-        }
-        Err(last_err.expect("at least one attempt"))
+                Ok(rec)
+            },
+        )?;
+        self.records_read += 1;
+        Ok(rec)
     }
 
     /// After `expected` failed to resolve: re-read the record that
@@ -222,42 +209,31 @@ impl VerifiedScan {
     /// (condition 1).
     fn start(&mut self) -> Result<StoredRecord> {
         let q = self.lo_key();
-        let mut last_err = None;
-        let mut backoff = Backoff::new();
-        for attempt in 0..RETRY_ATTEMPTS {
-            if attempt > 0 {
-                self.met().inc(Metric::ScanBenignRetries);
-                backoff.wait();
-            }
-            let Some(addr) = self.table.index(self.chain).find_floor(&q) else {
-                last_err = Some(Error::TamperDetected(format!(
-                    "range scan: index returned no floor for {q} (the ⊥ \
-                     sentinel must always match)"
-                )));
-                continue;
-            };
-            let rec = match self.table.read_record(addr) {
-                Ok(r) => r,
-                Err(Error::SlotNotFound { .. }) => {
-                    last_err = Some(Error::TamperDetected(
-                        "range scan: floor candidate slot is dead".into(),
-                    ));
-                    continue;
+        let chain = self.chain;
+        let rec = self.table.probe(
+            Some(Metric::ScanBenignRetries),
+            || {
+                self.table.index(chain).find_floor(&q).ok_or_else(|| {
+                    Error::TamperDetected(format!(
+                        "range scan: index returned no floor for {q} (the ⊥ \
+                         sentinel must always match)"
+                    ))
+                })
+            },
+            || Error::TamperDetected("range scan: floor candidate slot is dead".into()),
+            |rec| {
+                let key = rec.key(chain);
+                if matches!(key, ChainKey::Absent) || key > &q {
+                    return Err(Error::TamperDetected(format!(
+                        "range scan: left end not covered — floor record keyed \
+                         {key} exceeds the lower bound {q} (condition 1 violated)"
+                    )));
                 }
-                Err(e) => return Err(e),
-            };
-            let key = rec.key(self.chain);
-            if matches!(key, ChainKey::Absent) || key > &q {
-                last_err = Some(Error::TamperDetected(format!(
-                    "range scan: left end not covered — floor record keyed \
-                     {key} exceeds the lower bound {q} (condition 1 violated)"
-                )));
-                continue;
-            }
-            self.records_read += 1;
-            return Ok(rec);
-        }
-        Err(last_err.expect("at least one attempt"))
+                Ok(rec)
+            },
+        )?;
+        self.records_read += 1;
+        Ok(rec)
     }
 
     /// Does a record keyed `key` carry a column value inside the bounds?

@@ -26,6 +26,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use veridb_common::backoff::{Backoff, RETRY_ATTEMPTS};
+use veridb_common::obs::Metric;
 use veridb_common::sync::Mutex;
 use veridb_common::{Error, Result, Row, Schema, Value};
 use veridb_wrcm::{CellAddr, VerifiedMemory};
@@ -405,43 +406,61 @@ impl Table {
 
     // ---- verified read path ---------------------------------------------------
 
-    /// Verified point lookup on any chain key (§5.2 Index Search). Returns
-    /// the row with its proving record, or a verified absence.
-    pub(crate) fn get_point(&self, chain: usize, q: &ChainKey) -> Result<PointResult> {
-        // Benign races with concurrent splices can momentarily misroute the
-        // untrusted index; retry with bounded backoff before declaring
-        // tampering.
+    /// The verified index probe behind point lookups and scan cursors:
+    /// ask the untrusted index (`lookup`, whose error names a miss), read
+    /// the candidate record through verified memory, and return what
+    /// `check` makes of it. Benign races with concurrent splices can
+    /// momentarily misroute the index, so a miss, a dead slot
+    /// (`dead_slot`'s error) or a failed check is retried with bounded
+    /// backoff — counting each retry in `retries`, if given — before the
+    /// last error is returned as the alarm.
+    pub(crate) fn probe<T>(
+        &self,
+        retries: Option<Metric>,
+        lookup: impl Fn() -> Result<CellAddr>,
+        dead_slot: impl Fn() -> Error,
+        check: impl Fn(StoredRecord) -> Result<T>,
+    ) -> Result<T> {
         let mut last_err = None;
         let mut backoff = Backoff::new();
         for attempt in 0..RETRY_ATTEMPTS {
             if attempt > 0 {
+                if let Some(m) = retries {
+                    self.mem.metrics().inc(m);
+                }
                 backoff.wait();
             }
-            let Some(addr) = self.indexes[chain].find_floor(q) else {
-                last_err = Some(Error::TamperDetected(format!(
-                    "index of chain {chain} returned no candidate for {q}"
-                )));
-                continue;
+            let err = match lookup() {
+                Err(e) => e,
+                Ok(addr) => match self.read_record(addr) {
+                    Ok(rec) => match check(rec) {
+                        Ok(found) => return Ok(found),
+                        Err(e) => e,
+                    },
+                    Err(Error::SlotNotFound { .. }) => dead_slot(),
+                    Err(e) => return Err(e),
+                },
             };
-            let rec = match self.read_record(addr) {
-                Ok(r) => r,
-                Err(Error::SlotNotFound { .. }) => {
-                    last_err = Some(Error::TamperDetected(format!(
-                        "index of chain {chain} pointed {q} at a dead slot"
-                    )));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            match check_point(chain, q, rec) {
-                Ok(res) => return Ok(res),
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            }
+            last_err = Some(err);
         }
         Err(last_err.expect("at least one attempt"))
+    }
+
+    /// Verified point lookup on any chain key (§5.2 Index Search). Returns
+    /// the row with its proving record, or a verified absence.
+    pub(crate) fn get_point(&self, chain: usize, q: &ChainKey) -> Result<PointResult> {
+        self.probe(
+            None,
+            || {
+                self.indexes[chain].find_floor(q).ok_or_else(|| {
+                    Error::TamperDetected(format!(
+                        "index of chain {chain} returned no candidate for {q}"
+                    ))
+                })
+            },
+            || Error::TamperDetected(format!("index of chain {chain} pointed {q} at a dead slot")),
+            |rec| check_point(chain, q, rec),
+        )
     }
 
     /// Verified primary-key lookup. `Ok(Some(row))` and `Ok(None)` are both

@@ -1,10 +1,10 @@
 //! Digest contributions of protected ops.
 //!
 //! Every protected op tags its elements under the page lock into one
-//! [`DeltaBucket`] (the PRF images destined for `h(RS)`/`h(WS)` and
+//! `DeltaBucket` (the PRF images destined for `h(RS)`/`h(WS)` and
 //! their metadata twins, pre-combined by XOR, plus what they cost) and
 //! commits it once, under its partition mutex, before it releases the
-//! page lock ([`apply_bucket`], DESIGN.md §9).
+//! page lock (`apply_bucket`, DESIGN.md §9).
 
 use crate::digest::SetDigest;
 use crate::memory::CellAddr;

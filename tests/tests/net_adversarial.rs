@@ -153,6 +153,41 @@ fn replayed_query_frame_trips_the_portal_replay_window() {
 }
 
 #[test]
+fn replayed_query_frame_does_not_fail_a_pipelined_batch() {
+    // The portal's refusal of the duplicated query comes back as an ERROR
+    // echo for a qid that was already answered. The pipelined loop must
+    // skip it like a single query does, whether the echo lands in a later
+    // batch or in the batch that contains the replayed query. Each rig has
+    // one client: a second client on the same channel would legitimately
+    // collide on qid 1.
+    let batch = [
+        "SELECT v FROM t WHERE id = 3",
+        "SELECT v FROM t WHERE id = 4",
+    ];
+    let after_single = rig();
+    after_single
+        .proxy
+        .set_tamper(Dir::ClientToServer, FIRST_QUERY, Tamper::Replay);
+    let mut client = after_single.client();
+    let got = client.query("SELECT v FROM t WHERE id = 2").unwrap();
+    assert_eq!(got.rows[0].values()[0], Value::Str("b".into()));
+    let results = client.query_pipelined(&batch, 2).unwrap();
+    assert_eq!(results[0].rows[0].values()[0], Value::Str("c".into()));
+    assert_eq!(results[1].rows[0].values()[0], Value::Str("d".into()));
+    assert!(after_single.wait_counter("portal.replays_rejected", 1) >= 1);
+
+    let in_batch = rig();
+    in_batch
+        .proxy
+        .set_tamper(Dir::ClientToServer, FIRST_QUERY, Tamper::Replay);
+    let mut client = in_batch.client();
+    let results = client.query_pipelined(&batch, 2).unwrap();
+    assert_eq!(results[0].rows[0].values()[0], Value::Str("c".into()));
+    assert_eq!(results[1].rows[0].values()[0], Value::Str("d".into()));
+    assert!(in_batch.wait_counter("portal.replays_rejected", 1) >= 1);
+}
+
+#[test]
 fn replayed_result_frame_is_refused_without_poisoning_the_session() {
     // The adversary duplicates an endorsed RESULT. The copy is CRC-valid
     // and MAC-valid — it is a genuine old endorsement, byte for byte — so
