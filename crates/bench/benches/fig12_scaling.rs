@@ -18,9 +18,9 @@
 //! equivalence.
 
 use std::time::Instant;
-use veridb::{Metric, PlanOptions, Value, VeriDb, VeriDbConfig};
-use veridb_bench::{f1, scale_from_env, summarize, FigureTable, Scale};
-use veridb_workloads::tpch::{self, TpchConfig, TpchData};
+use veridb::{Metric, PlanOptions, VeriDb, VeriDbConfig};
+use veridb_bench::{f1, rows_equivalent, scale_from_env, summarize, tpch_config, FigureTable};
+use veridb_workloads::tpch::{self, TpchData};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Timed repetitions per (query, workers) cell for the p50/p95 summary.
@@ -32,43 +32,9 @@ const MIN_Q1_8W_SPEEDUP: f64 = 2.0;
 /// tail must keep the post-scan pipeline off the serial path.
 const MIN_Q3_8W_SPEEDUP: f64 = 2.5;
 
-fn config(scale: Scale) -> TpchConfig {
-    match scale {
-        Scale::Paper => TpchConfig {
-            lineitem_rows: 600_000,
-            part_rows: 20_000,
-            ..TpchConfig::default()
-        },
-        Scale::Small => TpchConfig::default(), // 60k lineitem / 2k part
-    }
-}
-
-/// Result equivalence across worker counts: identical shape and order;
-/// float cells compare with a relative epsilon because per-morsel partial
-/// sums associate differently than one serial left-fold.
-fn rows_equivalent(a: &[veridb::Row], b: &[veridb::Row]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).all(|(ra, rb)| {
-        ra.values().len() == rb.values().len()
-            && ra
-                .values()
-                .iter()
-                .zip(rb.values())
-                .all(|(x, y)| match (x, y) {
-                    (Value::Float(fx), Value::Float(fy)) => {
-                        let scale = fx.abs().max(fy.abs()).max(1.0);
-                        (fx - fy).abs() <= 1e-9 * scale
-                    }
-                    _ => x == y,
-                })
-    })
-}
-
 fn main() {
     let scale = scale_from_env();
-    let cfg = config(scale);
+    let cfg = tpch_config(scale);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "Figure 12 scaling — lineitem: {} rows, part: {} rows, workers {WORKER_COUNTS:?} \

@@ -24,24 +24,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 use veridb::{PlanOptions, PreferredJoin, VeriDb, VeriDbConfig};
-use veridb_bench::{f1, percentile, scale_from_env, FigureTable, Scale};
+use veridb_bench::{f1, percentile, scale_from_env, tpch_config, FigureTable, Scale};
 use veridb_common::Row;
 use veridb_query::ast::Statement;
 use veridb_query::parser::parse;
 use veridb_query::planner::{plan_select, PhysicalPlan};
 use veridb_query::{exec, ExecContext};
-use veridb_workloads::tpch::{self, TpchConfig, TpchData};
-
-fn config(scale: Scale) -> TpchConfig {
-    match scale {
-        Scale::Paper => TpchConfig {
-            lineitem_rows: 600_000,
-            part_rows: 20_000,
-            ..TpchConfig::default()
-        },
-        Scale::Small => TpchConfig::default(), // 60k lineitem / 2k part
-    }
-}
+use veridb_workloads::tpch::{self, TpchData};
 
 /// One timed run of a query and of its scan leaves.
 struct Run {
@@ -197,7 +186,7 @@ fn split(r: &Run) -> [String; 3] {
 
 fn main() {
     let scale = scale_from_env();
-    let cfg = config(scale);
+    let cfg = tpch_config(scale);
     println!(
         "Figure 12 reproduction — lineitem: {} rows, part: {} rows (scale {scale:?})",
         cfg.lineitem_rows, cfg.part_rows

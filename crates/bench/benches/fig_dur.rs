@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::Barrier;
 use std::time::Instant;
 use veridb::{Value, VeriDb, VeriDbConfig};
-use veridb_bench::{f1, scale_from_env, summarize, FigureTable, OpSummary, Scale};
+use veridb_bench::{counter, f1, scale_from_env, summarize, FigureTable, OpSummary, Scale};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("veridb-figdur-{tag}-{}", std::process::id()));
@@ -40,15 +40,6 @@ fn config(data_dir: Option<&PathBuf>, window_us: u64) -> VeriDbConfig {
     cfg.data_dir = data_dir.map(|d| d.display().to_string());
     cfg.group_commit_window_us = window_us;
     cfg
-}
-
-fn counter(db: &VeriDb, name: &str) -> u64 {
-    db.metrics()
-        .counters()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| v)
-        .unwrap_or(0)
 }
 
 /// Sequential single-row INSERTs `base..base+n`; per-op latencies in s.

@@ -18,9 +18,12 @@
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use veridb::{Value, VeriDb, VeriDbConfig};
-use veridb_bench::{f1, scale_from_env, summarize, FigureTable, OpSummary, Scale};
-use veridb_workloads::tpch::{self, TpchConfig, TpchData};
+use veridb::{VeriDb, VeriDbConfig};
+use veridb_bench::{
+    counter, f1, rows_equivalent, scale_from_env, summarize, tpch_multi_client_config, FigureTable,
+    OpSummary,
+};
+use veridb_workloads::tpch::{self, TpchData};
 
 const CLIENT_COUNTS: [usize; 4] = [1, 4, 8, 16];
 /// Q6 executions per client per sweep cell.
@@ -29,55 +32,9 @@ const ROUNDS: usize = 4;
 /// on a multi-core host (gate).
 const MIN_8C_SPEEDUP: f64 = 2.5;
 
-fn config(scale: Scale) -> TpchConfig {
-    match scale {
-        Scale::Paper => TpchConfig {
-            lineitem_rows: 120_000,
-            part_rows: 4_000,
-            ..TpchConfig::default()
-        },
-        Scale::Small => TpchConfig {
-            lineitem_rows: 12_000,
-            part_rows: 400,
-            ..TpchConfig::default()
-        },
-    }
-}
-
-/// Q6 is one aggregate row with a float sum: epsilon equality (partial
-/// sums associate differently across DOPs).
-fn rows_equivalent(a: &[veridb::Row], b: &[veridb::Row]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).all(|(ra, rb)| {
-        ra.values().len() == rb.values().len()
-            && ra
-                .values()
-                .iter()
-                .zip(rb.values())
-                .all(|(x, y)| match (x, y) {
-                    (Value::Float(fx), Value::Float(fy)) => {
-                        let scale = fx.abs().max(fy.abs()).max(1.0);
-                        (fx - fy).abs() <= 1e-9 * scale
-                    }
-                    _ => x == y,
-                })
-    })
-}
-
-fn counter(db: &VeriDb, name: &str) -> u64 {
-    db.metrics()
-        .counters()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| v)
-        .unwrap_or(0)
-}
-
 fn main() {
     let scale = scale_from_env();
-    let cfg = config(scale);
+    let cfg = tpch_multi_client_config(scale);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let dops = if cores > 1 {
         vec![1usize, cores.min(8)]

@@ -24,9 +24,12 @@
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use veridb::{Metric, Value, VeriDb, VeriDbConfig};
-use veridb_bench::{f1, scale_from_env, summarize, FigureTable, OpSummary, Scale};
-use veridb_workloads::tpch::{self, TpchConfig, TpchData};
+use veridb::{Metric, VeriDb, VeriDbConfig};
+use veridb_bench::{
+    counter, f1, rows_equivalent, scale_from_env, summarize, tpch_multi_client_config, FigureTable,
+    OpSummary,
+};
+use veridb_workloads::tpch::{self, TpchData};
 
 const CLIENT_COUNTS: [usize; 5] = [1, 4, 16, 64, 256];
 const PIPELINE_DEPTHS: [usize; 3] = [1, 4, 16];
@@ -36,53 +39,6 @@ const PIPELINE_CLIENTS: usize = 16;
 const ROUNDS: usize = 2;
 /// Mix rounds per client in the pipelining sweep (12 queries each).
 const PIPE_ROUNDS: usize = 4;
-
-fn config(scale: Scale) -> TpchConfig {
-    match scale {
-        Scale::Paper => TpchConfig {
-            lineitem_rows: 120_000,
-            part_rows: 4_000,
-            ..TpchConfig::default()
-        },
-        // Small scale keeps 256 concurrent clients well under a minute.
-        Scale::Small => TpchConfig {
-            lineitem_rows: 12_000,
-            part_rows: 400,
-            ..TpchConfig::default()
-        },
-    }
-}
-
-/// Same float-epsilon equivalence as fig12_scaling: partial aggregation
-/// on the server may associate float sums differently per run.
-fn rows_equivalent(a: &[veridb::Row], b: &[veridb::Row]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).all(|(ra, rb)| {
-        ra.values().len() == rb.values().len()
-            && ra
-                .values()
-                .iter()
-                .zip(rb.values())
-                .all(|(x, y)| match (x, y) {
-                    (Value::Float(fx), Value::Float(fy)) => {
-                        let scale = fx.abs().max(fy.abs()).max(1.0);
-                        (fx - fy).abs() <= 1e-9 * scale
-                    }
-                    _ => x == y,
-                })
-    })
-}
-
-fn counter(db: &VeriDb, name: &str) -> u64 {
-    db.metrics()
-        .counters()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| v)
-        .unwrap_or(0)
-}
 
 struct Mix {
     cases: [(&'static str, &'static str); 3],
@@ -100,7 +56,7 @@ fn check(mix: &Mix, i: usize, got: &veridb::QueryResult) {
 
 fn main() {
     let scale = scale_from_env();
-    let cfg = config(scale);
+    let cfg = tpch_multi_client_config(scale);
     let mut counts: Vec<usize> = CLIENT_COUNTS.to_vec();
     if std::env::var("VERIDB_BENCH_1024").is_ok() {
         counts.push(1024);

@@ -11,6 +11,8 @@
 //! The chosen scale is printed with each table.
 
 use std::time::Instant;
+use veridb::{Row, Value, VeriDb};
+use veridb_workloads::tpch::TpchConfig;
 
 /// Workload scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +29,71 @@ pub fn scale_from_env() -> Scale {
         Ok("paper") | Ok("PAPER") | Ok("full") => Scale::Paper,
         _ => Scale::Small,
     }
+}
+
+/// TPC-H sizes of the single-client figures (fig12_tpch, fig12_scaling):
+/// 60k lineitem / 2k part rows, or 600k / 20k at paper scale.
+pub fn tpch_config(scale: Scale) -> TpchConfig {
+    match scale {
+        Scale::Paper => TpchConfig {
+            lineitem_rows: 600_000,
+            part_rows: 20_000,
+            ..TpchConfig::default()
+        },
+        Scale::Small => TpchConfig::default(),
+    }
+}
+
+/// TPC-H sizes of the multi-client figures (fig_mc, fig_net): 12k
+/// lineitem / 400 part rows, small enough for 256 concurrent clients in
+/// under a minute, or 120k / 4k at paper scale.
+pub fn tpch_multi_client_config(scale: Scale) -> TpchConfig {
+    match scale {
+        Scale::Paper => TpchConfig {
+            lineitem_rows: 120_000,
+            part_rows: 4_000,
+            ..TpchConfig::default()
+        },
+        Scale::Small => TpchConfig {
+            lineitem_rows: 12_000,
+            part_rows: 400,
+            ..TpchConfig::default()
+        },
+    }
+}
+
+/// Result equivalence across worker counts, DOPs and runs: identical
+/// shape and order; float cells compare with a relative epsilon because
+/// per-morsel partial sums associate differently than one serial
+/// left-fold.
+pub fn rows_equivalent(a: &[Row], b: &[Row]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    a.iter().zip(b).all(|(ra, rb)| {
+        ra.values().len() == rb.values().len()
+            && ra
+                .values()
+                .iter()
+                .zip(rb.values())
+                .all(|(x, y)| match (x, y) {
+                    (Value::Float(fx), Value::Float(fy)) => {
+                        let scale = fx.abs().max(fy.abs()).max(1.0);
+                        (fx - fy).abs() <= 1e-9 * scale
+                    }
+                    _ => x == y,
+                })
+    })
+}
+
+/// The value of the registry row `name` (0 when absent).
+pub fn counter(db: &VeriDb, name: &str) -> u64 {
+    db.metrics()
+        .counters()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v)
+        .unwrap_or(0)
 }
 
 /// Time `f` once, in seconds.

@@ -8,6 +8,13 @@
 
 /// CRC-32 over `data` (IEEE check value: `crc32(b"123456789") == 0xCBF43926`).
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_parts(&[data])
+}
+
+/// CRC-32 over the concatenation of `parts`, fed one after another with
+/// no copy into a joined buffer (e.g. a frame's kind byte, then its
+/// payload).
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
     // Build the table on first use; 1 KiB, cheap to race.
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
@@ -26,8 +33,10 @@ pub fn crc32(data: &[u8]) -> u32 {
         t
     });
     let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    for part in parts {
+        for &b in *part {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
     }
     !crc
 }

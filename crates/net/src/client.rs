@@ -9,7 +9,8 @@
 //! concerns — framing, timeouts, bounded-backoff reconnect — and a strict
 //! error taxonomy, applied by the one request loop that
 //! [`RemoteClient::query`], [`RemoteClient::query_batch`] and
-//! [`RemoteClient::query_pipelined`] share:
+//! [`RemoteClient::query_pipelined`] share (and whose frame
+//! classification [`RemoteClient::stats`] reads its answer through):
 //!
 //! - **Transport errors** ([`Error::Net`]): retryable. A lost connection
 //!   while *sending* a query is retried automatically with the *same*
@@ -22,7 +23,8 @@
 //! - **Overload refusals** ([`Error::Overloaded`]): retryable by
 //!   construction — the server refused the query at admission, before any
 //!   portal saw it, so its qid is unspent and the *identical* signed query
-//!   is resent after a bounded backoff.
+//!   is resent after a bounded backoff, once the call's in-flight window
+//!   (shrunk by the refusal) has room.
 //! - **Duplicate responses**: a `RESULT` frame that is byte-identical to
 //!   one this client already verified (same qid, same endorsement MAC) is
 //!   a transport-level replay. It is refused visibly — counted in
@@ -57,7 +59,7 @@ use veridb_common::{Error, Result};
 use veridb_enclave::attestation::{Quote, QuoteVerifier, Report};
 use veridb_enclave::mac::Mac;
 use veridb_enclave::{mac::sha256, MacKey, Measurement, QuotingEnclave};
-use veridb_query::{Client, QueryResult, SignedQuery};
+use veridb_query::{Client, EndorsedResult, QueryResult, SignedQuery};
 
 /// How many recently answered queries the client remembers, along with
 /// the endorsement MAC it accepted for each. A late or replayed `RESULT`
@@ -134,6 +136,16 @@ fn connect_retrying(
         }
     }
     Err(last)
+}
+
+/// What the request loop read for a request in flight.
+enum Answer {
+    /// An endorsed result, not yet verified.
+    Result(EndorsedResult),
+    /// A server error for a qid in flight, or for qid 0 (the session).
+    Error(u64, Error),
+    /// A `STATS_OK` payload.
+    Stats(Vec<u8>),
 }
 
 /// Fingerprint of a channel key, pinned at first attestation.
@@ -320,7 +332,10 @@ impl RemoteClient {
     ///
     /// - [`Error::Overloaded`] refusals (the qid is unspent) — the
     ///   identical signed query is resent after a bounded backoff, up to
-    ///   [`RETRY_ATTEMPTS`] times per query;
+    ///   [`RETRY_ATTEMPTS`] times per query. Each refusal also shrinks
+    ///   the call's in-flight window to the queries still in flight, so
+    ///   resends wait for answers instead of keeping the server's queue
+    ///   full;
     /// - byte-identical duplicate `RESULT` frames — refused and counted
     ///   ([`RemoteClient::duplicates_refused`]) without disturbing the
     ///   in-flight window;
@@ -331,7 +346,7 @@ impl RemoteClient {
     /// Results are returned in the order of `sqls`. Any verification
     /// failure aborts the whole pipeline.
     pub fn query_pipelined(&mut self, sqls: &[&str], depth: usize) -> Result<Vec<QueryResult>> {
-        let depth = depth.max(1);
+        let mut window = depth.max(1);
         let queries: Vec<SignedQuery> = sqls.iter().map(|s| self.inner.sign_query(s)).collect();
         let mut results: Vec<Option<QueryResult>> = queries.iter().map(|_| None).collect();
         let mut answered = 0;
@@ -346,7 +361,7 @@ impl RemoteClient {
         while answered < queries.len() {
             // Keep the window full: refused queries first (they are the
             // oldest), then fresh ones.
-            while pending.len() < depth {
+            while pending.len() < window {
                 let idx = match resend.pop_front() {
                     Some(idx) => idx,
                     None if next < queries.len() => {
@@ -358,6 +373,63 @@ impl RemoteClient {
                 self.send_query(&queries[idx], pending.is_empty())?;
                 pending.insert(queries[idx].qid, idx);
             }
+            match self.next_answer(|qid| pending.contains_key(&qid), &mut stale)? {
+                Answer::Result(endorsed) => {
+                    let idx = pending.remove(&endorsed.qid).expect("answer is in flight");
+                    let rows = self.inner.verify_result(&queries[idx], &endorsed)?;
+                    self.remember(queries[idx].clone(), endorsed.mac);
+                    results[idx] = Some(QueryResult {
+                        columns: endorsed.result.columns,
+                        rows,
+                    });
+                    answered += 1;
+                }
+                // An admission refusal: the qid is unspent, the identical
+                // signed query may be resent once the server breathes.
+                Answer::Error(qid, err @ Error::Overloaded { .. }) if qid != 0 => {
+                    let idx = pending.remove(&qid).expect("answer is in flight");
+                    refusals[idx] += 1;
+                    if refusals[idx] >= RETRY_ATTEMPTS {
+                        return Err(err);
+                    }
+                    resend.push_back(idx);
+                    window = pending.len().max(1);
+                    overload_backoff.wait();
+                }
+                Answer::Error(_, err) => return Err(err),
+                Answer::Stats(_) => {
+                    return Err(self.net_err(
+                        "await result",
+                        format!("unexpected frame kind {MSG_STATS_OK}"),
+                    ))
+                }
+            }
+        }
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("every query answered"))
+            .collect())
+    }
+
+    /// Read frames until one answers a request in flight: a `RESULT` or
+    /// `ERROR` for a qid `in_flight` accepts, an `ERROR` for qid 0 (the
+    /// session itself), or `STATS_OK`. Stale frames on the way are
+    /// classified here and nowhere else. A byte-identical duplicate of a
+    /// recently verified `RESULT` is a transport-level replay: refused
+    /// (counted) and skipped. A *different* endorsement for a spent qid
+    /// is verified in full — its sequence number is already recorded, so
+    /// it trips the rollback defense. A `RESULT` for an unknown qid is
+    /// unauthenticated noise (`AuthFailed`). An `ERROR` echo for a qid
+    /// not in flight (e.g. the portal rejecting an adversary's replay of
+    /// a query already answered) means the defense worked and is skipped.
+    /// `stale` counts skipped frames across one call, which gives up at
+    /// `RECENT_QUERIES * 2`.
+    fn next_answer(
+        &mut self,
+        in_flight: impl Fn(u64) -> bool,
+        stale: &mut usize,
+    ) -> Result<Answer> {
+        loop {
             let stream = self
                 .stream
                 .as_mut()
@@ -371,23 +443,9 @@ impl RemoteClient {
             match kind {
                 MSG_RESULT => {
                     let endorsed = decode_result(&payload)?;
-                    if let Some(idx) = pending.remove(&endorsed.qid) {
-                        let rows = self.inner.verify_result(&queries[idx], &endorsed)?;
-                        self.remember(queries[idx].clone(), endorsed.mac);
-                        results[idx] = Some(QueryResult {
-                            columns: endorsed.result.columns,
-                            rows,
-                        });
-                        answered += 1;
-                        continue;
+                    if in_flight(endorsed.qid) {
+                        return Ok(Answer::Result(endorsed));
                     }
-                    // A result for a query not in flight. If it is
-                    // byte-identical to one recently completed, it is a
-                    // transport-level replay: refuse it (counted) and keep
-                    // the session. A *different* endorsement for a spent
-                    // qid is verified in full — its sequence number is
-                    // already recorded, so it trips the rollback defense.
-                    // Unknown qids are unauthenticated noise → AuthFailed.
                     match self.recent.get(&endorsed.qid) {
                         Some((_, mac)) if mac.0 == endorsed.mac.0 => self.duplicates_refused += 1,
                         Some((orig, _)) => {
@@ -409,29 +467,12 @@ impl RemoteClient {
                     }
                 }
                 MSG_ERROR => {
-                    let (eqid, err) = decode_error(&payload)?;
-                    if let (Error::Overloaded { .. }, Some(&idx)) = (&err, pending.get(&eqid)) {
-                        // An admission refusal: the qid is unspent, the
-                        // identical signed query may be resent once the
-                        // server breathes.
-                        refusals[idx] += 1;
-                        if refusals[idx] >= RETRY_ATTEMPTS {
-                            return Err(err);
-                        }
-                        pending.remove(&eqid);
-                        resend.push_back(idx);
-                        overload_backoff.wait();
-                        continue;
+                    let (qid, err) = decode_error(&payload)?;
+                    if qid == 0 || in_flight(qid) {
+                        return Ok(Answer::Error(qid, err));
                     }
-                    let in_flight = pending.contains_key(&eqid)
-                        || resend.iter().any(|&idx| queries[idx].qid == eqid);
-                    if eqid == 0 || in_flight {
-                        return Err(err);
-                    }
-                    // An echo for a query not in flight (e.g. the portal
-                    // rejecting an adversary's replay of a query already
-                    // answered). The defense worked; keep waiting.
                 }
+                MSG_STATS_OK => return Ok(Answer::Stats(payload)),
                 MSG_BYE => {
                     self.stream = None;
                     return Err(self.net_err("await result", "server closed the session"));
@@ -442,29 +483,28 @@ impl RemoteClient {
                     );
                 }
             }
-            stale += 1;
-            if stale >= RECENT_QUERIES * 2 {
+            *stale += 1;
+            if *stale >= RECENT_QUERIES * 2 {
                 return Err(self.net_err("await result", "too many stale frames"));
             }
         }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every query answered"))
-            .collect())
     }
 
-    /// Fetch the server's metrics snapshot as `name value` lines.
+    /// Fetch the server's metrics snapshot as `name value` lines. The
+    /// answer is read by the request loop's frame classification, so
+    /// stale frames still queued on the connection are skipped.
     pub fn stats(&mut self) -> Result<String> {
         if self.stream.is_none() {
             self.reconnect()?;
         }
         let stream = self.stream.as_mut().expect("reconnect sets stream");
         write_frame(stream, &self.addr, MSG_STATS, &[])?;
-        let (kind, payload) = read_frame(stream, &self.addr)?;
-        if kind != MSG_STATS_OK {
-            return Err(self.net_err("stats", format!("unexpected frame kind {kind}")));
+        match self.next_answer(|_| false, &mut 0)? {
+            Answer::Stats(payload) => String::from_utf8(payload)
+                .map_err(|_| Error::Codec("non-UTF-8 stats payload".into())),
+            Answer::Error(_, err) => Err(err),
+            Answer::Result(_) => unreachable!("no query is in flight"),
         }
-        String::from_utf8(payload).map_err(|_| Error::Codec("non-UTF-8 stats payload".into()))
     }
 
     /// The client's rollback-defense storage footprint, in intervals.

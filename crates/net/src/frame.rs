@@ -37,6 +37,11 @@ pub const MAX_FRAME_BYTES: usize = 32 * 1024 * 1024;
 /// codec via `veridb_common::crc`.
 pub use veridb_common::crc::crc32;
 
+/// The frame CRC: CRC-32 over `kind ‖ payload`, without joining them.
+pub(crate) fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+    veridb_common::crc::crc32_parts(&[&[kind], payload])
+}
+
 pub(crate) fn net_err(peer: &str, op: &str, detail: impl std::fmt::Display) -> Error {
     Error::Net {
         peer: peer.to_owned(),
@@ -52,10 +57,7 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.push(kind);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(payload);
-    buf.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    buf.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
     buf.extend_from_slice(payload);
     buf
 }
@@ -91,10 +93,7 @@ pub fn read_frame(r: &mut impl Read, peer: &str) -> Result<(u8, Vec<u8>)> {
         let mut payload = vec![0u8; len];
         r.read_exact(&mut payload)
             .map_err(|e| net_err(peer, "read frame payload", e))?;
-        let mut crc_input = Vec::with_capacity(1 + len);
-        crc_input.push(kind);
-        crc_input.extend_from_slice(&payload);
-        if crc32(&crc_input) != crc {
+        if frame_crc(kind, &payload) != crc {
             return Err(net_err(peer, "read frame", "frame CRC mismatch"));
         }
         Ok((kind, payload))
@@ -195,14 +194,12 @@ impl FrameDecoder {
         if avail.len() < HEADER_BYTES + len {
             return Ok(None);
         }
-        let payload = avail[HEADER_BYTES..HEADER_BYTES + len].to_vec();
-        let mut crc_input = Vec::with_capacity(1 + len);
-        crc_input.push(kind);
-        crc_input.extend_from_slice(&payload);
-        if crc32(&crc_input) != crc {
+        let payload = &avail[HEADER_BYTES..HEADER_BYTES + len];
+        if frame_crc(kind, payload) != crc {
             self.poisoned = true;
             return Err(net_err(peer, "read frame", "frame CRC mismatch"));
         }
+        let payload = payload.to_vec();
         self.consumed += HEADER_BYTES + len;
         Ok(Some((kind, payload)))
     }
@@ -239,6 +236,17 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn frame_crc_equals_crc32_over_kind_then_payload() {
+        veridb_common::rng::check(256, |rng| {
+            let kind = rng.gen_range(0u8..=255);
+            let payload = rng.vec(0..300, |r| r.gen_range(0u8..=255));
+            let mut joined = vec![kind];
+            joined.extend_from_slice(&payload);
+            assert_eq!(frame_crc(kind, &payload), crc32(&joined));
+        });
     }
 
     #[test]

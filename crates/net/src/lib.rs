@@ -13,7 +13,8 @@
 //!   results, and errors, built on the workspace's canonical codec.
 //! - [`server`] — an event-driven reactor over one shared
 //!   [`veridb::VeriDb`]: a single epoll loop owns every socket, decodes
-//!   frames incrementally, and feeds a bounded executor pool; per-channel
+//!   and classifies frames, and queues typed requests for connection
+//!   turns on the shared scheduler pool; per-channel
 //!   persistent portals, CAS-exact connection admission, a global query
 //!   queue with retryable `Overloaded` refusals, per-connection
 //!   backpressure windows, idle reaping, and graceful draining shutdown.

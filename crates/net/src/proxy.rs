@@ -8,7 +8,7 @@
 //! security claim under test is that *no corruption it applies can produce
 //! a wrong result* — only client-visible transport or verification errors.
 
-use crate::frame::{crc32, read_raw_frame, HEADER_BYTES};
+use crate::frame::{frame_crc, read_raw_frame, HEADER_BYTES};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -245,11 +245,7 @@ fn apply(tamper: Tamper, mut frame: Vec<u8>) -> Verdict {
                 let idx = HEADER_BYTES + (frame.len() - HEADER_BYTES) / 2;
                 frame[idx] ^= 0x10;
                 if fix_crc {
-                    let kind = frame[6];
-                    let mut crc_input = Vec::with_capacity(frame.len() - HEADER_BYTES + 1);
-                    crc_input.push(kind);
-                    crc_input.extend_from_slice(&frame[HEADER_BYTES..]);
-                    let crc = crc32(&crc_input);
+                    let crc = frame_crc(frame[6], &frame[HEADER_BYTES..]);
                     frame[11..15].copy_from_slice(&crc.to_le_bytes());
                 }
             }

@@ -19,12 +19,14 @@
 //!
 //! A single **reactor** thread owns the listener and every socket. It
 //! runs a level-triggered epoll loop (`crate::poll`), decodes bytes
-//! incrementally ([`crate::frame::FrameDecoder`]), and dispatches
-//! complete frames as **connection turns onto the process-wide scheduler
-//! pool** ([`veridb_common::sched`]) — the same fixed worker set that
-//! executes the engine's parallel regions, so the server no longer
-//! layers its own executor pool on top of per-query pools (the old
-//! `executor × workers` oversubscription). Each connection's frames are
+//! incrementally ([`crate::frame::FrameDecoder`]) and **classifies** each
+//! complete frame exactly once: it answers the handshake inline, admits
+//! or refuses queries, closes on an unknown kind, and queues everything
+//! else as a typed request on the connection. **Connection turns on the
+//! process-wide scheduler pool** ([`veridb_common::sched`]) then
+//! **execute** those requests — the same fixed worker set that runs the
+//! engine's parallel regions, so the server layers no executor pool of
+//! its own on top of per-query pools. Each connection's requests are
 //! processed serially by at most one turn at a time, so pipelined
 //! queries on one connection yield `RESULT` frames in submission order;
 //! different connections execute concurrently, and a turn that runs a
@@ -46,15 +48,17 @@
 //!   under accept storms. At the cap the listener's readiness interest is
 //!   dropped — pending connections wait in the kernel backlog instead of
 //!   being reset — and is re-armed when a slot frees.
-//! - **Global query queue** (`net_queue_depth`): decoded `QUERY` frames
-//!   waiting for a worker are counted globally; past the limit a query is
-//!   refused with a *retryable* [`Error::Overloaded`] frame. The refused
-//!   query never reached a portal, so its qid is unspent and the client
-//!   may resend the identical signed query — overload is a load
-//!   condition, never a security violation.
+//! - **Global query queue** (`net_queue_depth`): admitted `QUERY` frames
+//!   waiting for or under execution are counted globally; past the limit
+//!   a query is refused with a *retryable* [`Error::Overloaded`] frame.
+//!   The refused query never reached a portal, so its qid is unspent and
+//!   the client may resend the identical signed query — overload is a
+//!   load condition, never a security violation. A query's slot is freed
+//!   before its answer is queued, so a client that sends its next query
+//!   on reading an answer never finds that answer's slot still held.
 //! - **Per-connection frame window**: a connection whose inbound or
 //!   outbound queue fills has its read interest paused (bytes back up
-//!   into TCP flow control) and resumed once the executor drains below
+//!   into TCP flow control) and resumed once its turns drain it below
 //!   half — so one fast pipeliner cannot starve the rest.
 //!
 //! Shutdown is graceful: accepting stops, outstanding connection turns
@@ -64,7 +68,7 @@
 //! lifetime and are never torn down by the server.
 
 use crate::frame::{encode_frame, FrameDecoder};
-use crate::poll::{Interest, Poller};
+use crate::poll::{Event, Interest, Poller};
 use crate::proto::{
     decode_hello, decode_query, decode_ship_ack, decode_ship_sub, encode_error, encode_quote,
     encode_result, encode_ship, encode_ship_meta, peek_query_qid, QuoteMsg, ShipMeta,
@@ -78,7 +82,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use veridb::{QueryPortal, QuotingEnclave, VeriDb};
 use veridb_common::sync::Mutex;
@@ -134,39 +138,6 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// Token for the listener.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
-/// Server tunables, derived from [`veridb_common::VeriDbConfig`].
-#[derive(Debug, Clone)]
-pub(crate) struct NetConfig {
-    /// Maximum concurrent connections; beyond it the server stops
-    /// accepting (backpressure), it does not reset queued connections.
-    pub max_conns: usize,
-    /// Per-frame write-stall timeout (a connection whose peer stops
-    /// reading its responses for this long is reaped).
-    pub timeout: Duration,
-    /// Idle-session reaping deadline.
-    pub idle_timeout: Duration,
-    /// Global bound on decoded queries awaiting execution; past it new
-    /// queries are refused with a retryable `Overloaded` error.
-    pub queue_depth: usize,
-}
-
-impl NetConfig {
-    /// Build from the engine configuration. Execution concurrency is no
-    /// longer a net-layer knob: connection turns run on the process-wide
-    /// scheduler pool (`pool_threads` / `VERIDB_POOL`, defaulting to
-    /// machine parallelism), which bounds total threads regardless of
-    /// how many connections are executing.
-    pub fn from_config(config: &veridb_common::VeriDbConfig) -> Self {
-        let timeout = Duration::from_millis(config.net_timeout_ms);
-        NetConfig {
-            max_conns: config.max_conns,
-            timeout,
-            idle_timeout: timeout * IDLE_TIMEOUT_FACTOR,
-            queue_depth: config.net_queue_depth,
-        }
-    }
-}
-
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     local_addr: SocketAddr,
@@ -182,8 +153,8 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, drain queued queries through
-    /// the executor pool, flush responses, close every session, join all
-    /// threads.
+    /// the connection turns, flush responses, close every session, join
+    /// the reactor thread.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = (&self.wake_tx).write(&[1]);
@@ -222,14 +193,17 @@ pub(crate) fn try_reserve_slot(counter: &AtomicUsize, cap: usize) -> bool {
 struct ServerShared {
     db: Arc<VeriDb>,
     qe: QuotingEnclave,
-    cfg: NetConfig,
     /// Channel name → portal. Persistent across reconnects so the replay
     /// window and sequence counter outlive any one TCP connection.
     portals: Mutex<HashMap<String, Arc<QueryPortal>>>,
     /// Active connections (admission-controlled by `try_reserve_slot`).
     active: AtomicUsize,
-    /// Decoded QUERY frames awaiting execution, across all connections.
+    /// Admitted QUERY frames not yet answered, across all connections.
     queued: AtomicUsize,
+    /// Connection turns spawned but not yet finished; graceful shutdown
+    /// waits for zero instead of joining workers (the pool is
+    /// process-lifetime).
+    outstanding: AtomicUsize,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     /// Tokens whose outbound queue gained frames (worker → reactor).
@@ -249,6 +223,24 @@ impl ServerShared {
         )
     }
 
+    /// Per-frame write-stall timeout: a peer that stops reading its
+    /// responses this long is reaped.
+    fn stall_timeout(&self) -> Duration {
+        Duration::from_millis(self.db.config().net_timeout_ms)
+    }
+
+    /// Idle-session reaping deadline, which also bounds the shutdown
+    /// drain.
+    fn idle_timeout(&self) -> Duration {
+        self.stall_timeout() * IDLE_TIMEOUT_FACTOR
+    }
+
+    /// Give back one slot of the global query queue.
+    fn release_query_slot(&self) {
+        self.queued.fetch_sub(1, Ordering::AcqRel);
+        self.metrics.dec(Metric::NetQueued);
+    }
+
     /// Tell the reactor `token` has fresh outbound frames (or state to
     /// re-examine) and wake it.
     fn notify_token(&self, token: u64) {
@@ -257,24 +249,36 @@ impl ServerShared {
     }
 }
 
-/// Per-connection state shared between the reactor and the executor.
+/// A request the reactor classified and queued for the connection's
+/// turns. Payloads are decoded on the turn, so a mangled one is answered
+/// in order behind the requests ahead of it.
+enum Inbound {
+    /// An admitted query; it holds one slot of the global query queue.
+    Query(Vec<u8>),
+    Stats,
+    Bye,
+    ShipSub(Vec<u8>),
+    ShipAck(Vec<u8>),
+}
+
+/// Per-connection state shared between the reactor and the turns.
 struct Conn {
     token: u64,
-    peer: String,
-    /// Decoded frames awaiting a worker, in arrival order.
-    inbound: Mutex<VecDeque<(u8, Vec<u8>)>>,
+    /// Classified requests awaiting a turn, in arrival order.
+    inbound: Mutex<VecDeque<Inbound>>,
     /// Encoded response frames awaiting the socket, in production order.
     outbound: Mutex<Outbound>,
-    /// Claim flag: true while the connection is queued on (or being
-    /// processed by) the executor. Guarantees per-connection serial
-    /// execution and hence in-order RESULT delivery.
+    /// Claim flag: true while a turn for the connection is queued on (or
+    /// running on) the pool. Guarantees per-connection serial execution
+    /// and hence in-order RESULT delivery.
     scheduled: AtomicBool,
     /// Close once the outbound queue drains.
     closing: AtomicBool,
     /// Read interest dropped due to a full inbound/outbound window.
     read_paused: AtomicBool,
-    /// The session's portal, pinned at handshake.
-    portal: Mutex<Option<Arc<QueryPortal>>>,
+    /// The session's portal, pinned by the handshake; set means the
+    /// session is past its handshake.
+    portal: OnceLock<Arc<QueryPortal>>,
     /// Set once a SHIP_SUB claimed this connection for log shipping (at
     /// most one shipper thread per connection).
     shipping: AtomicBool,
@@ -335,125 +339,102 @@ fn push_out(conn: &Conn, kind: u8, payload: &[u8]) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor: connection turns on the shared scheduler pool
+// Connection turns on the shared scheduler pool
 // ---------------------------------------------------------------------------
+//
+// Connections (not frames) are the scheduling unit: a connection is
+// claimed at most once (`Conn::scheduled`); each claim spawns one turn as
+// a task on the process-wide scheduler pool (`sched::spawn`). A turn
+// executes up to `FAIR_BATCH` of the connection's requests, then either
+// respawns itself (more work pending — going to the back of the pool's
+// task queue gives round-robin fairness across busy connections) or
+// releases the claim. The server owns no execution threads: they are
+// bounded by the pool size no matter how many connections are active,
+// and a turn running a parallel query help-executes that query's job on
+// the same pool.
 
-/// The turn dispatcher. Connections (not frames) are the scheduling
-/// unit: a connection is claimed at most once (`Conn::scheduled`); each
-/// claim spawns one **turn** as a task on the process-wide scheduler
-/// pool ([`sched::spawn`]). A turn drains up to [`FAIR_BATCH`] of the
-/// connection's frames, then either respawns itself (more work pending —
-/// going to the back of the pool's task queue gives round-robin fairness
-/// across busy connections) or releases the claim. The executor owns no
-/// threads: total execution threads are bounded by the pool size no
-/// matter how many connections are active, and a turn running a parallel
-/// query help-executes that query's job on the same pool.
-struct Executor {
-    /// Turns spawned but not yet finished; graceful shutdown waits for
-    /// zero instead of joining workers (the pool is process-lifetime).
-    outstanding: AtomicUsize,
+/// Queue a turn for `conn` unless one is already claimed.
+fn schedule(conn: &Arc<Conn>, shared: &Arc<ServerShared>) {
+    if !conn.scheduled.swap(true, Ordering::AcqRel) {
+        spawn_turn(conn, shared);
+    }
 }
 
-impl Executor {
-    fn new() -> Arc<Executor> {
-        Arc::new(Executor {
-            outstanding: AtomicUsize::new(0),
-        })
-    }
+/// Spawn one turn task on the shared pool (claim already held).
+fn spawn_turn(conn: &Arc<Conn>, shared: &Arc<ServerShared>) {
+    shared.outstanding.fetch_add(1, Ordering::AcqRel);
+    let (conn, shared) = (Arc::clone(conn), Arc::clone(shared));
+    sched::spawn(move || run_turn(conn, shared));
+}
 
-    /// Queue a turn for `conn` unless one is already claimed.
-    fn schedule(self: &Arc<Self>, conn: &Arc<Conn>, shared: &Arc<ServerShared>) {
-        if !conn.scheduled.swap(true, Ordering::AcqRel) {
-            self.submit(Arc::clone(conn), Arc::clone(shared));
+/// One turn: process a fair batch → respawn or release. A panic inside
+/// the turn is caught, counted (`net.worker_panics`), and the offending
+/// connection is torn down; the pool worker survives.
+fn run_turn(conn: Arc<Conn>, shared: Arc<ServerShared>) {
+    let respawn = match catch_unwind(AssertUnwindSafe(|| process_turn(&conn, &shared))) {
+        // Fairness: more work goes to the back of the task queue, claim
+        // kept.
+        Ok(()) if !conn.inbound.lock().is_empty() && !conn.closing.load(Ordering::Acquire) => true,
+        Ok(()) => {
+            conn.scheduled.store(false, Ordering::Release);
+            // Recheck: the reactor may have enqueued between our drain
+            // and the release; reclaim if it did not race a schedule of
+            // its own.
+            !conn.inbound.lock().is_empty() && !conn.scheduled.swap(true, Ordering::AcqRel)
         }
-    }
-
-    /// Spawn one turn task on the shared pool (claim already held).
-    fn submit(self: &Arc<Self>, conn: Arc<Conn>, shared: Arc<ServerShared>) {
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
-        let exec = Arc::clone(self);
-        sched::spawn(move || exec.run_turn(conn, shared));
-    }
-
-    /// One turn: process a fair batch → respawn or release. A panic
-    /// inside the turn is caught, counted (`net.worker_panics`), and the
-    /// offending connection is torn down; the pool worker survives.
-    fn run_turn(self: &Arc<Self>, conn: Arc<Conn>, shared: Arc<ServerShared>) {
-        let turn = catch_unwind(AssertUnwindSafe(|| process_turn(&conn, &shared)));
-        match turn {
-            Ok(()) => {
-                let more = !conn.inbound.lock().is_empty() && !conn.closing.load(Ordering::Acquire);
-                if more {
-                    // Fairness: back of the task queue, claim kept.
-                    self.submit(conn, shared);
-                } else {
-                    conn.scheduled.store(false, Ordering::Release);
-                    // Recheck: the reactor may have enqueued between our
-                    // drain and the release; reclaim if it did not race a
-                    // schedule of its own.
-                    if !conn.inbound.lock().is_empty()
-                        && !conn.scheduled.swap(true, Ordering::AcqRel)
-                    {
-                        self.submit(conn, shared);
-                    }
-                }
-            }
-            Err(_) => {
-                shared.metrics.inc(Metric::NetWorkerPanics);
-                // The session is unrecoverable mid-frame; drop it. The
-                // reactor reconciles the queue accounting at close.
-                conn.closing.store(true, Ordering::Release);
-                conn.scheduled.store(false, Ordering::Release);
-                shared.notify_token(conn.token);
-            }
+        Err(_) => {
+            shared.metrics.inc(Metric::NetWorkerPanics);
+            // The session is unrecoverable mid-frame; drop it. The
+            // reactor reconciles the queue accounting at close.
+            conn.closing.store(true, Ordering::Release);
+            conn.scheduled.store(false, Ordering::Release);
+            shared.notify_token(conn.token);
+            false
         }
-        self.outstanding.fetch_sub(1, Ordering::AcqRel);
+    };
+    if respawn {
+        spawn_turn(&conn, &shared);
     }
+    shared.outstanding.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// Test hook: turns for this token panic inside `process_turn`, so the
-/// executor's catch-and-teardown path can be exercised (no production
-/// frame can be made to panic deterministically).
+/// turn's catch-and-teardown path can be exercised (no production frame
+/// can be made to panic deterministically).
 #[cfg(test)]
 static TEST_PANIC_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(u64::MAX);
 
-/// Process up to [`FAIR_BATCH`] frames of one connection.
+/// Process up to [`FAIR_BATCH`] requests of one connection.
 fn process_turn(conn: &Arc<Conn>, shared: &Arc<ServerShared>) {
     #[cfg(test)]
     if conn.token == TEST_PANIC_TOKEN.load(Ordering::Relaxed) {
         panic!("injected turn panic");
     }
-    let m = &shared.metrics;
     let mut handled = 0usize;
     while handled < FAIR_BATCH && !conn.closing.load(Ordering::Acquire) {
-        let Some((kind, payload)) = conn.inbound.lock().pop_front() else {
+        let Some(request) = conn.inbound.lock().pop_front() else {
             break;
         };
         handled += 1;
-        let was_query = kind == MSG_QUERY;
-        handle_frame(conn, shared, kind, &payload, m);
-        if was_query {
-            shared.queued.fetch_sub(1, Ordering::AcqRel);
-            m.dec(Metric::NetQueued);
-        }
+        handle_request(conn, shared, request);
     }
     if handled > 0 {
         shared.notify_token(conn.token);
     }
 }
 
-fn handle_frame(
-    conn: &Arc<Conn>,
-    shared: &Arc<ServerShared>,
-    kind: u8,
-    payload: &[u8],
-    m: &Metrics,
-) {
-    match kind {
-        MSG_QUERY => {
+fn handle_request(conn: &Arc<Conn>, shared: &Arc<ServerShared>, request: Inbound) {
+    let m = &shared.metrics;
+    match request {
+        Inbound::Query(payload) => {
             let started = Instant::now();
-            let q = match decode_query(payload) {
-                Ok(q) => q,
+            let answer = decode_query(&payload).map(|q| {
+                let portal = conn.portal.get().expect("queries are admitted after HELLO");
+                (q.qid, portal.submit(&q))
+            });
+            shared.release_query_slot();
+            let (qid, reply) = match answer {
+                Ok(answer) => answer,
                 Err(e) => {
                     // Mangled payload behind a valid CRC: the framing
                     // layer is untrusted, so report and drop the
@@ -464,51 +445,40 @@ fn handle_frame(
                     return;
                 }
             };
-            let portal = conn.portal.lock().clone();
-            let Some(portal) = portal else {
-                // Unreachable: the reactor admits QUERY frames only after
-                // the handshake pinned a portal. Defensive close.
-                conn.closing.store(true, Ordering::Release);
-                return;
-            };
-            let reply = portal.submit(&q);
             if let Err(Error::AuthFailed(_) | Error::ReplayDetected { .. }) = &reply {
                 m.inc(Metric::NetAuthRejects);
             }
             match reply {
                 Ok(endorsed) => push_out(conn, MSG_RESULT, &encode_result(&endorsed)),
-                Err(e) => push_out(conn, MSG_ERROR, &encode_error(q.qid, &e)),
+                Err(e) => push_out(conn, MSG_ERROR, &encode_error(qid, &e)),
             }
             m.record(Metric::NetWireNs, started.elapsed().as_nanos() as u64);
         }
-        MSG_STATS => {
+        Inbound::Stats => {
             let text = shared.db.metrics().to_string();
             push_out(conn, MSG_STATS_OK, text.as_bytes());
         }
-        MSG_SHIP_SUB => {
-            let refuse = |conn: &Conn, e: &Error| {
+        Inbound::Bye => conn.closing.store(true, Ordering::Release),
+        Inbound::ShipSub(payload) => {
+            let refuse = |e: &Error| {
                 push_out(conn, MSG_ERROR, &encode_error(0, e));
                 conn.closing.store(true, Ordering::Release);
             };
-            let Ok(from_lsn) = decode_ship_sub(payload) else {
+            let Ok(from_lsn) = decode_ship_sub(&payload) else {
                 m.inc(Metric::NetFrameRejects);
-                refuse(conn, &Error::Codec("mangled SHIP_SUB".into()));
+                refuse(&Error::Codec("mangled SHIP_SUB".into()));
                 return;
             };
             let Some(durable) = shared.db.durable() else {
-                refuse(
-                    conn,
-                    &Error::InvalidArgument(
-                        "log shipping needs a durable server (start with --data-dir)".into(),
-                    ),
-                );
+                refuse(&Error::InvalidArgument(
+                    "log shipping needs a durable server (start with --data-dir)".into(),
+                ));
                 return;
             };
             if conn.shipping.swap(true, Ordering::AcqRel) {
-                refuse(
-                    conn,
-                    &Error::InvalidArgument("connection already has a ship subscription".into()),
-                );
+                refuse(&Error::InvalidArgument(
+                    "connection already has a ship subscription".into(),
+                ));
                 return;
             }
             let meta = ShipMeta {
@@ -519,8 +489,8 @@ fn handle_frame(
             push_out(conn, MSG_SHIP_META, &encode_ship_meta(&meta));
             spawn_shipper(Arc::clone(shared), Arc::clone(conn), from_lsn.max(1));
         }
-        MSG_SHIP_ACK => {
-            let Ok(acked) = decode_ship_ack(payload) else {
+        Inbound::ShipAck(payload) => {
+            let Ok(acked) = decode_ship_ack(&payload) else {
                 m.inc(Metric::NetFrameRejects);
                 conn.closing.store(true, Ordering::Release);
                 return;
@@ -528,17 +498,6 @@ fn handle_frame(
             if let Some(durable) = shared.db.durable() {
                 durable.note_ship_lag(acked);
             }
-        }
-        MSG_BYE => conn.closing.store(true, Ordering::Release),
-        other => {
-            m.inc(Metric::NetFrameRejects);
-            let e = Error::Net {
-                peer: conn.peer.clone(),
-                op: "read frame".into(),
-                detail: format!("unexpected frame kind {other}"),
-            };
-            push_out(conn, MSG_ERROR, &encode_error(0, &e));
-            conn.closing.store(true, Ordering::Release);
         }
     }
 }
@@ -600,13 +559,13 @@ fn spawn_shipper(shared: Arc<ServerShared>, conn: Arc<Conn>, from_lsn: u64) {
 /// Registry entry: everything only the reactor touches for one socket.
 struct ConnEntry {
     stream: TcpStream,
+    peer: String,
     conn: Arc<Conn>,
     decoder: FrameDecoder,
     interest: Interest,
     last_activity: Instant,
     /// Set while a write is blocked on a full socket buffer.
     write_stalled_since: Option<Instant>,
-    handshaken: bool,
 }
 
 struct Reactor {
@@ -616,7 +575,6 @@ struct Reactor {
     conns: HashMap<u64, ConnEntry>,
     next_token: u64,
     shared: Arc<ServerShared>,
-    exec: Arc<Executor>,
     wake_rx: UnixStream,
 }
 
@@ -650,11 +608,11 @@ pub fn serve(db: Arc<VeriDb>, addr: &str) -> Result<ServerHandle> {
     let metrics = Arc::clone(db.memory().metrics());
     let shared = Arc::new(ServerShared {
         qe: QuotingEnclave::new(SIM_ATTESTATION_ROOT),
-        cfg: NetConfig::from_config(db.config()),
         db,
         portals: Mutex::new(HashMap::new()),
         active: AtomicUsize::new(0),
         queued: AtomicUsize::new(0),
+        outstanding: AtomicUsize::new(0),
         shutdown: Arc::clone(&shutdown),
         metrics,
         notify: Mutex::new(Vec::new()),
@@ -669,10 +627,6 @@ pub fn serve(db: Arc<VeriDb>, addr: &str) -> Result<ServerHandle> {
         .add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
         .map_err(|e| net_err("epoll register listener", &e))?;
 
-    // No executor threads to spawn: connection turns run on the
-    // process-wide scheduler pool, started lazily on first use.
-    let exec = Executor::new();
-
     let reactor = Reactor {
         poller,
         listener,
@@ -680,7 +634,6 @@ pub fn serve(db: Arc<VeriDb>, addr: &str) -> Result<ServerHandle> {
         conns: HashMap::new(),
         next_token: 0,
         shared,
-        exec,
         wake_rx,
     };
     let reactor_thread = std::thread::Builder::new()
@@ -701,30 +654,32 @@ impl Reactor {
         let mut events = Vec::new();
         let mut last_sweep = Instant::now();
         while !self.shared.shutdown.load(Ordering::SeqCst) {
-            match self.poller.wait(&mut events, TICK_MS) {
-                Ok(_) => {}
-                Err(e) => {
-                    eprintln!("veridb-net: epoll_wait failed: {e}");
-                    break;
-                }
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if let Err(e) = self.step(&mut events, TICK_MS) {
+                eprintln!("veridb-net: epoll_wait failed: {e}");
                 break;
             }
-            for ev in events.iter().copied() {
-                match ev.token {
-                    WAKE_TOKEN => self.drain_wake(),
-                    LISTENER_TOKEN => self.accept_ready(),
-                    token => self.conn_event(token, ev.readable || ev.hangup, ev.writable),
-                }
-            }
-            self.flush_notified();
             if last_sweep.elapsed() >= SWEEP_EVERY {
                 self.sweep(Instant::now());
                 last_sweep = Instant::now();
             }
         }
         self.graceful_shutdown();
+    }
+
+    /// One event-loop step: wait up to `timeout_ms` for readiness,
+    /// dispatch every event, then flush the connections whose turns
+    /// queued output. Both the main loop and the shutdown drain run it.
+    fn step(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> std::io::Result<()> {
+        self.poller.wait(events, timeout_ms)?;
+        for ev in events.iter().copied() {
+            match ev.token {
+                WAKE_TOKEN => self.drain_wake(),
+                LISTENER_TOKEN => self.accept_ready(),
+                token => self.conn_event(token, ev.readable || ev.hangup, ev.writable),
+            }
+        }
+        self.flush_notified();
+        Ok(())
     }
 
     fn drain_wake(&mut self) {
@@ -736,7 +691,7 @@ impl Reactor {
     /// pause the listener (kernel backlog holds the rest).
     fn accept_ready(&mut self) {
         loop {
-            if !try_reserve_slot(&self.shared.active, self.shared.cfg.max_conns) {
+            if !try_reserve_slot(&self.shared.active, self.shared.db.config().max_conns) {
                 self.pause_listener();
                 return;
             }
@@ -771,25 +726,24 @@ impl Reactor {
         self.poller.add(stream.as_raw_fd(), token, Interest::READ)?;
         let conn = Arc::new(Conn {
             token,
-            peer: peer.to_string(),
             inbound: Mutex::new(VecDeque::new()),
             outbound: Mutex::new(Outbound::default()),
             scheduled: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             read_paused: AtomicBool::new(false),
-            portal: Mutex::new(None),
+            portal: OnceLock::new(),
             shipping: AtomicBool::new(false),
         });
         self.conns.insert(
             token,
             ConnEntry {
                 stream,
+                peer: peer.to_string(),
                 conn,
                 decoder: FrameDecoder::new(),
                 interest: Interest::READ,
                 last_activity: Instant::now(),
                 write_stalled_since: None,
-                handshaken: false,
             },
         );
         self.shared.metrics.inc(Metric::NetAccepted);
@@ -808,7 +762,7 @@ impl Reactor {
 
     fn maybe_resume_listener(&mut self) {
         if self.listener_paused
-            && self.shared.active.load(Ordering::Acquire) < self.shared.cfg.max_conns
+            && self.shared.active.load(Ordering::Acquire) < self.shared.db.config().max_conns
         {
             self.listener_paused = false;
             let _ = self
@@ -823,7 +777,7 @@ impl Reactor {
             Some(entry) => {
                 if readable {
                     entry.last_activity = Instant::now();
-                    handle_readable(&self.poller, &self.shared, &self.exec, entry)
+                    handle_readable(&self.poller, &self.shared, entry)
                 } else {
                     true
                 }
@@ -850,7 +804,7 @@ impl Reactor {
     fn flush_token(&mut self, token: u64) {
         let keep = match self.conns.get_mut(&token) {
             None => return,
-            Some(entry) => flush_entry(&self.poller, &self.shared, &self.exec, entry),
+            Some(entry) => flush_entry(&self.poller, &self.shared, entry),
         };
         if !keep {
             self.close_conn(token);
@@ -859,8 +813,8 @@ impl Reactor {
 
     /// Reap idle sessions and write-stalled peers.
     fn sweep(&mut self, now: Instant) {
-        let idle = self.shared.cfg.idle_timeout;
-        let stall = self.shared.cfg.timeout;
+        let idle = self.shared.idle_timeout();
+        let stall = self.shared.stall_timeout();
         let mut doomed: Vec<(u64, bool)> = Vec::new();
         for (&token, entry) in &self.conns {
             if now.duration_since(entry.last_activity) >= idle
@@ -879,7 +833,7 @@ impl Reactor {
             if send_bye {
                 if let Some(entry) = self.conns.get_mut(&token) {
                     push_out(&entry.conn, MSG_BYE, &[]);
-                    let _ = flush_entry(&self.poller, &self.shared, &self.exec, entry);
+                    let _ = flush_entry(&self.poller, &self.shared, entry);
                 }
             }
             self.close_conn(token);
@@ -892,18 +846,17 @@ impl Reactor {
         };
         let _ = self.poller.delete(entry.stream.as_raw_fd());
         // Stop any in-flight worker turn at the next frame boundary and
-        // reconcile the global queue count for frames it will never see.
+        // give back the queue slots of queries it will never see.
         entry.conn.closing.store(true, Ordering::Release);
-        let abandoned: Vec<(u8, Vec<u8>)> = entry.conn.inbound.lock().drain(..).collect();
-        let m = &self.shared.metrics;
-        for (kind, _) in abandoned {
-            if kind == MSG_QUERY {
-                self.shared.queued.fetch_sub(1, Ordering::AcqRel);
-                m.dec(Metric::NetQueued);
+        let abandoned: Vec<Inbound> = entry.conn.inbound.lock().drain(..).collect();
+        for request in abandoned {
+            if let Inbound::Query(_) = request {
+                self.shared.release_query_slot();
             }
         }
+        let m = &self.shared.metrics;
         m.dec(Metric::NetActiveConns);
-        if !entry.handshaken {
+        if entry.conn.portal.get().is_none() {
             m.inc(Metric::NetRejected);
         }
         self.shared.active.fetch_sub(1, Ordering::AcqRel);
@@ -911,22 +864,13 @@ impl Reactor {
         let _ = entry.stream.shutdown(std::net::Shutdown::Both);
     }
 
-    /// One bounded iteration of the event loop — used while draining
-    /// during shutdown, when the main loop has already exited.
+    /// One bounded event-loop step while draining during shutdown, when
+    /// the main loop has already exited, then a push on every pending
+    /// outbound queue, not just the notified ones.
     fn pump(&mut self, timeout_ms: i32) {
-        let mut events = Vec::new();
-        if self.poller.wait(&mut events, timeout_ms).is_err() {
+        if self.step(&mut Vec::new(), timeout_ms).is_err() {
             return;
         }
-        for ev in events.iter().copied() {
-            match ev.token {
-                WAKE_TOKEN => self.drain_wake(),
-                LISTENER_TOKEN => {}
-                token => self.conn_event(token, ev.readable || ev.hangup, ev.writable),
-            }
-        }
-        self.flush_notified();
-        // Push on every pending outbound queue, not just notified ones.
         let tokens: Vec<u64> = self
             .conns
             .iter()
@@ -946,9 +890,9 @@ impl Reactor {
         //    finishes (turns respawn themselves while frames remain, so
         //    zero outstanding + empty inbound queues = fully drained),
         //    while the reactor keeps pumping so responses flush.
-        let deadline = Instant::now() + self.shared.cfg.idle_timeout;
+        let deadline = Instant::now() + self.shared.idle_timeout();
         loop {
-            let turns_done = self.exec.outstanding.load(Ordering::Acquire) == 0
+            let turns_done = self.shared.outstanding.load(Ordering::Acquire) == 0
                 && self
                     .conns
                     .values()
@@ -985,12 +929,7 @@ impl Reactor {
 
 /// Read until `WouldBlock` (or pause/EOF/error), decoding and dispatching
 /// complete frames. Returns false when the connection must close.
-fn handle_readable(
-    poller: &Poller,
-    shared: &Arc<ServerShared>,
-    exec: &Arc<Executor>,
-    entry: &mut ConnEntry,
-) -> bool {
+fn handle_readable(poller: &Poller, shared: &Arc<ServerShared>, entry: &mut ConnEntry) -> bool {
     let mut buf = [0u8; READ_CHUNK];
     loop {
         if entry.conn.read_paused.load(Ordering::Acquire) {
@@ -1001,7 +940,7 @@ fn handle_readable(
             Ok(n) => {
                 shared.metrics.add(Metric::NetBytesIn, n as u64);
                 entry.decoder.extend(&buf[..n]);
-                if !drain_decoded(poller, shared, exec, entry) {
+                if !drain_decoded(poller, shared, entry) {
                     return false;
                 }
             }
@@ -1015,21 +954,16 @@ fn handle_readable(
 /// Dispatch every complete frame sitting in the decoder, stopping early
 /// if dispatch pauses reading. Returns false when the connection must
 /// close (framing error or protocol violation).
-fn drain_decoded(
-    poller: &Poller,
-    shared: &Arc<ServerShared>,
-    exec: &Arc<Executor>,
-    entry: &mut ConnEntry,
-) -> bool {
+fn drain_decoded(poller: &Poller, shared: &Arc<ServerShared>, entry: &mut ConnEntry) -> bool {
     loop {
         if entry.conn.read_paused.load(Ordering::Acquire) {
             return true;
         }
-        match entry.decoder.next_frame(&entry.conn.peer) {
+        match entry.decoder.next_frame(&entry.peer) {
             Ok(None) => return true,
             Ok(Some((kind, payload))) => {
                 shared.metrics.inc(Metric::NetFramesIn);
-                if !dispatch_frame(poller, shared, exec, entry, kind, payload) {
+                if !dispatch_frame(poller, shared, entry, kind, payload) {
                     return false;
                 }
             }
@@ -1044,19 +978,21 @@ fn drain_decoded(
     }
 }
 
-/// Route one complete frame: handshake inline (cheap — one quote), BYE /
-/// STATS / QUERY through the executor for in-order processing. Returns
-/// false when the connection must close.
+/// Classify one complete frame — the only place a frame's kind is
+/// checked. The handshake is answered inline (cheap — one quote), a
+/// QUERY passes admission or is refused, an unknown kind closes the
+/// connection, and everything else is queued as an [`Inbound`] request
+/// for the connection's turns, in order behind any pipelined queries.
+/// Returns false when the connection must close.
 fn dispatch_frame(
     poller: &Poller,
     shared: &Arc<ServerShared>,
-    exec: &Arc<Executor>,
     entry: &mut ConnEntry,
     kind: u8,
     payload: Vec<u8>,
 ) -> bool {
     let m = &shared.metrics;
-    if !entry.handshaken {
+    if entry.conn.portal.get().is_none() {
         if kind != MSG_HELLO {
             m.inc(Metric::NetFrameRejects);
             return false;
@@ -1075,66 +1011,55 @@ fn dispatch_frame(
                 .channel_key_for_attested_client()
                 .key_exchange_bytes(),
         };
-        *entry.conn.portal.lock() = Some(portal);
-        entry.handshaken = true;
+        let _ = entry.conn.portal.set(portal);
         push_out(&entry.conn, MSG_QUOTE, &encode_quote(&msg));
         return true;
     }
-    match kind {
+    let request = match kind {
         MSG_QUERY => {
             // Admission: reserve a slot in the global query queue or
             // refuse visibly and retryably. The refused query never
             // reaches a portal, so its qid stays unspent.
-            if !try_reserve_slot(&shared.queued, shared.cfg.queue_depth) {
+            let limit = shared.db.config().net_queue_depth;
+            if !try_reserve_slot(&shared.queued, limit) {
                 m.inc(Metric::NetOverloaded);
                 let qid = peek_query_qid(&payload).unwrap_or(0);
                 let e = Error::Overloaded {
                     queued: shared.queued.load(Ordering::Relaxed),
-                    limit: shared.cfg.queue_depth,
+                    limit,
                 };
                 push_out(&entry.conn, MSG_ERROR, &encode_error(qid, &e));
                 return true;
             }
             m.inc(Metric::NetQueued);
-            enqueue_inbound(poller, shared, exec, entry, kind, payload);
+            Inbound::Query(payload)
         }
-        MSG_STATS | MSG_BYE | MSG_SHIP_SUB | MSG_SHIP_ACK => {
-            // Through the inbound queue so they stay ordered behind any
-            // pipelined queries ahead of them.
-            enqueue_inbound(poller, shared, exec, entry, kind, payload);
-        }
+        MSG_STATS => Inbound::Stats,
+        MSG_BYE => Inbound::Bye,
+        MSG_SHIP_SUB => Inbound::ShipSub(payload),
+        MSG_SHIP_ACK => Inbound::ShipAck(payload),
         other => {
             m.inc(Metric::NetFrameRejects);
             let e = Error::Net {
-                peer: entry.conn.peer.clone(),
+                peer: entry.peer.clone(),
                 op: "read frame".into(),
                 detail: format!("unexpected frame kind {other}"),
             };
             push_out(&entry.conn, MSG_ERROR, &encode_error(0, &e));
             return false;
         }
-    }
-    true
-}
-
-fn enqueue_inbound(
-    poller: &Poller,
-    shared: &Arc<ServerShared>,
-    exec: &Arc<Executor>,
-    entry: &mut ConnEntry,
-    kind: u8,
-    payload: Vec<u8>,
-) {
+    };
     let inbound_len = {
         let mut q = entry.conn.inbound.lock();
-        q.push_back((kind, payload));
+        q.push_back(request);
         q.len()
     };
     let outbound_len = entry.conn.outbound.lock().frames.len();
     if inbound_len >= INBOUND_CAP || outbound_len >= OUTBOUND_CAP {
         pause_read(poller, entry);
     }
-    exec.schedule(&entry.conn, shared);
+    schedule(&entry.conn, shared);
+    true
 }
 
 fn pause_read(poller: &Poller, entry: &mut ConnEntry) {
@@ -1147,17 +1072,12 @@ fn pause_read(poller: &Poller, entry: &mut ConnEntry) {
 /// Write as much queued output as the socket takes. Handles write-
 /// interest arming, read resumption after backpressure, and deferred
 /// close. Returns false when the connection must close.
-fn flush_entry(
-    poller: &Poller,
-    shared: &Arc<ServerShared>,
-    exec: &Arc<Executor>,
-    entry: &mut ConnEntry,
-) -> bool {
+fn flush_entry(poller: &Poller, shared: &Arc<ServerShared>, entry: &mut ConnEntry) -> bool {
     let m = &shared.metrics;
-    let drained = loop {
+    loop {
         let mut ob = entry.conn.outbound.lock();
         if ob.frames.is_empty() {
-            break true;
+            break;
         }
         // Coalesce every queued frame (up to the iovec cap) into one
         // vectored write — under depth-16 pipelining this turns one
@@ -1169,26 +1089,18 @@ fn flush_entry(
             (entry.stream.write_vectored(&bufs), bufs.len() as u64)
         };
         match wrote {
-            // A 0-byte vectored write over non-empty slices means the
-            // socket took nothing; treat it like a full buffer rather
-            // than spinning.
-            Ok(0) => {
-                drop(ob);
-                if !entry.interest.writable {
-                    entry.interest.writable = true;
-                    let _ =
-                        poller.modify(entry.stream.as_raw_fd(), entry.conn.token, entry.interest);
-                }
-                entry.write_stalled_since.get_or_insert_with(Instant::now);
-                break false;
-            }
-            Ok(n) => {
+            Ok(n) if n > 0 => {
                 let (frames, bytes) = ob.advance(n);
                 m.record(Metric::NetWritevFrames, nbufs);
                 m.add(Metric::NetFramesOut, frames);
                 m.add(Metric::NetBytesOut, bytes);
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(ref e) if e.kind() != std::io::ErrorKind::WouldBlock => return false,
+            // The socket took nothing (a full buffer, or a 0-byte
+            // vectored write over non-empty slices): wait for EPOLLOUT
+            // rather than spinning.
+            _ => {
                 drop(ob);
                 if !entry.interest.writable {
                     entry.interest.writable = true;
@@ -1196,14 +1108,9 @@ fn flush_entry(
                         poller.modify(entry.stream.as_raw_fd(), entry.conn.token, entry.interest);
                 }
                 entry.write_stalled_since.get_or_insert_with(Instant::now);
-                break false;
+                return true;
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
         }
-    };
-    if !drained {
-        return true;
     }
     entry.write_stalled_since = None;
     if entry.interest.writable {
@@ -1216,19 +1123,14 @@ fn flush_entry(
     {
         return false;
     }
-    maybe_resume_read(poller, shared, exec, entry);
+    maybe_resume_read(poller, shared, entry);
     true
 }
 
 /// Re-arm read interest once the frame windows have drained below half,
 /// then immediately dispatch any frames still buffered in the decoder —
 /// the kernel will not re-signal readability for bytes we already read.
-fn maybe_resume_read(
-    poller: &Poller,
-    shared: &Arc<ServerShared>,
-    exec: &Arc<Executor>,
-    entry: &mut ConnEntry,
-) {
+fn maybe_resume_read(poller: &Poller, shared: &Arc<ServerShared>, entry: &mut ConnEntry) {
     if !entry.conn.read_paused.load(Ordering::Acquire) {
         return;
     }
@@ -1238,7 +1140,7 @@ fn maybe_resume_read(
         return;
     }
     entry.conn.read_paused.store(false, Ordering::Release);
-    if !drain_decoded(poller, shared, exec, entry) {
+    if !drain_decoded(poller, shared, entry) {
         // Framing violation discovered in the backlog: defer the close
         // through the normal path.
         entry.conn.closing.store(true, Ordering::Release);
@@ -1327,18 +1229,17 @@ mod tests {
     fn make_conn(token: u64) -> Arc<Conn> {
         Arc::new(Conn {
             token,
-            peer: format!("test-{token}"),
             inbound: Mutex::new(VecDeque::new()),
             outbound: Mutex::new(Outbound::default()),
             scheduled: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             read_paused: AtomicBool::new(false),
-            portal: Mutex::new(None),
+            portal: OnceLock::new(),
             shipping: AtomicBool::new(false),
         })
     }
 
-    /// A real `ServerShared` (the executor needs one to run turns); the
+    /// A real `ServerShared` (turns need one to run); the
     /// returned wake-pipe read end must stay alive for `notify_token`.
     fn test_shared() -> (Arc<ServerShared>, UnixStream) {
         let db = Arc::new(
@@ -1349,11 +1250,11 @@ mod tests {
         wake_tx.set_nonblocking(true).unwrap();
         let shared = Arc::new(ServerShared {
             qe: QuotingEnclave::new(SIM_ATTESTATION_ROOT),
-            cfg: NetConfig::from_config(db.config()),
             db,
             portals: Mutex::new(HashMap::new()),
             active: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
+            outstanding: AtomicUsize::new(0),
             shutdown: Arc::new(AtomicBool::new(false)),
             metrics: Arc::new(Metrics::new()),
             notify: Mutex::new(Vec::new()),
@@ -1379,17 +1280,16 @@ mod tests {
         // is counted, the offending connection is torn down, and the pool
         // keeps serving other connections' turns.
         let (shared, _wake_rx) = test_shared();
-        let exec = Executor::new();
         let bad = make_conn(0xDEAD);
         let good = make_conn(2);
-        bad.inbound.lock().push_back((MSG_BYE, Vec::new()));
-        good.inbound.lock().push_back((MSG_BYE, Vec::new()));
+        bad.inbound.lock().push_back(Inbound::Bye);
+        good.inbound.lock().push_back(Inbound::Bye);
         TEST_PANIC_TOKEN.store(0xDEAD, Ordering::Relaxed);
-        exec.schedule(&bad, &shared);
-        exec.schedule(&good, &shared);
+        schedule(&bad, &shared);
+        schedule(&good, &shared);
         assert!(
             wait_until(Duration::from_secs(30), || {
-                exec.outstanding.load(Ordering::Acquire) == 0
+                shared.outstanding.load(Ordering::Acquire) == 0
                     && bad.closing.load(Ordering::Acquire)
                     && good.closing.load(Ordering::Acquire)
             }),
@@ -1412,24 +1312,24 @@ mod tests {
     #[test]
     fn executor_requeue_keeps_per_conn_serial_claim() {
         let (shared, _wake_rx) = test_shared();
-        let exec = Executor::new();
         let conn = make_conn(7);
         // A held claim suppresses the spawn entirely: per-connection
         // frame order is guaranteed by at-most-one turn in flight.
         conn.scheduled.store(true, Ordering::Release);
-        exec.schedule(&conn, &shared);
+        schedule(&conn, &shared);
         assert_eq!(
-            exec.outstanding.load(Ordering::Acquire),
+            shared.outstanding.load(Ordering::Acquire),
             0,
             "scheduling a claimed connection must not spawn a second turn"
         );
         // Release and schedule for real: the turn drains the BYE on the
         // shared pool and gives the claim back.
-        conn.inbound.lock().push_back((MSG_BYE, Vec::new()));
+        conn.inbound.lock().push_back(Inbound::Bye);
         conn.scheduled.store(false, Ordering::Release);
-        exec.schedule(&conn, &shared);
+        schedule(&conn, &shared);
         assert!(wait_until(Duration::from_secs(30), || {
-            exec.outstanding.load(Ordering::Acquire) == 0 && !conn.scheduled.load(Ordering::Acquire)
+            shared.outstanding.load(Ordering::Acquire) == 0
+                && !conn.scheduled.load(Ordering::Acquire)
         }));
         assert!(conn.closing.load(Ordering::Acquire), "BYE processed");
         assert!(conn.inbound.lock().is_empty());

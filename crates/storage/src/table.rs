@@ -347,30 +347,7 @@ impl Table {
     /// column changes, this is an in-place data write; otherwise it is a
     /// delete followed by an insert (§4.2's `Update` semantics).
     pub fn update(&self, pk: &Value, new_row: Row) -> Result<()> {
-        let new_row = Row::new(self.schema.check_row(new_row.into_values())?);
-        let _g = self.write_lock.lock();
-        let key0 = ChainKey::val(pk.clone());
-        let addr = self.indexes[0]
-            .find_exact(&key0)
-            .ok_or_else(|| Error::KeyNotFound(pk.to_string()))?;
-        let mut rec = self.read_record(addr)?;
-        if rec.key(0) != &key0 {
-            return Err(Error::TamperDetected(format!(
-                "primary index points {key0} at a record keyed {}",
-                rec.key(0)
-            )));
-        }
-        let keys_unchanged =
-            (0..self.chain_cols.len()).all(|c| &self.chain_key(c, &new_row) == rec.key(c));
-        if keys_unchanged {
-            rec.row = new_row;
-            self.rewrite_record(addr, &rec)?;
-            Ok(())
-        } else {
-            self.delete_locked(pk)?;
-            self.insert_locked(new_row)?;
-            Ok(())
-        }
+        self.update_with(pk, |row| *row = new_row)
     }
 
     /// Read-modify-write helper: applies `f` to the current row and stores
@@ -388,7 +365,7 @@ impl Table {
                 rec.key(0)
             )));
         }
-        let mut row = rec.row.clone();
+        let mut row = std::mem::take(&mut rec.row);
         f(&mut row);
         let row = Row::new(self.schema.check_row(row.into_values())?);
         let keys_unchanged =

@@ -188,6 +188,24 @@ fn replayed_query_frame_does_not_fail_a_pipelined_batch() {
 }
 
 #[test]
+fn replayed_query_frame_does_not_fail_a_following_stats_call() {
+    // The portal's ERROR echo for the replayed query is still queued on
+    // the connection when `stats` runs. `stats` must skip it like the
+    // query loop does, and must consume its own STATS_OK so the next
+    // query reads its own answer.
+    let r = rig();
+    r.proxy
+        .set_tamper(Dir::ClientToServer, FIRST_QUERY, Tamper::Replay);
+    let mut client = r.client();
+    let got = client.query("SELECT v FROM t WHERE id = 2").unwrap();
+    assert_eq!(got.rows[0].values()[0], Value::Str("b".into()));
+    let stats = client.stats().unwrap();
+    assert!(stats.contains("portal.replays_rejected"), "stats:\n{stats}");
+    let got = client.query("SELECT v FROM t WHERE id = 3").unwrap();
+    assert_eq!(got.rows[0].values()[0], Value::Str("c".into()));
+}
+
+#[test]
 fn replayed_result_frame_is_refused_without_poisoning_the_session() {
     // The adversary duplicates an endorsed RESULT. The copy is CRC-valid
     // and MAC-valid — it is a genuine old endorsement, byte for byte — so
