@@ -22,14 +22,13 @@
 
 use std::io::{BufRead, Write};
 use std::time::Instant;
-use veridb::{PlanOptions, VeriDb, VeriDbConfig};
+use veridb::{PlanOptions, QueryResult, VeriDb, VeriDbConfig};
 
 fn main() {
     // Global flags (taken anywhere on the command line); the rest are
     // positional arguments.
     let mut workers: Option<usize> = None;
     let mut pool: Option<usize> = None;
-    let mut verify_threads: Option<usize> = None;
     let mut listen: Option<String> = None;
     let mut channel: Option<String> = None;
     let mut max_conns: Option<usize> = None;
@@ -43,8 +42,6 @@ fn main() {
             workers = parse_flag("--workers", Some(v.to_owned()));
         } else if let Some(v) = a.strip_prefix("--pool=") {
             pool = parse_flag("--pool", Some(v.to_owned()));
-        } else if let Some(v) = a.strip_prefix("--verify-threads=") {
-            verify_threads = parse_flag("--verify-threads", Some(v.to_owned()));
         } else if let Some(v) = a.strip_prefix("--listen=") {
             listen = Some(v.to_owned());
         } else if let Some(v) = a.strip_prefix("--channel=") {
@@ -61,7 +58,6 @@ fn main() {
             match a.as_str() {
                 "--workers" => workers = parse_flag("--workers", it.next()),
                 "--pool" => pool = parse_flag("--pool", it.next()),
-                "--verify-threads" => verify_threads = parse_flag("--verify-threads", it.next()),
                 "--listen" => listen = parse_flag("--listen", it.next()),
                 "--channel" => channel = parse_flag("--channel", it.next()),
                 "--max-conns" => max_conns = parse_flag("--max-conns", it.next()),
@@ -105,17 +101,13 @@ fn main() {
         }
         config.replica_of = Some(p);
     }
-    // Unless overridden, synchronous verification uses the same pool size
-    // as query execution (`VeriDbConfig::workers`); `--verify-threads` decouples
-    // the two.
-    let verify_threads = verify_threads.unwrap_or(config.workers).max(1);
     match positional.first().map(String::as_str) {
         Some("stats") => {
             let rows = positional
                 .get(1)
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(2_000);
-            std::process::exit(cmd_stats(rows, config, verify_threads));
+            std::process::exit(cmd_stats(rows, config));
         }
         Some("serve") => {
             std::process::exit(cmd_serve(listen, config));
@@ -135,13 +127,13 @@ fn main() {
                  \x20      veridb [flags] serve        serve the verifiable protocol over TCP\n\
                  \x20      veridb connect <host:port>  remote verifying SQL shell\n\
                  flags:\n\
-                 \x20 --workers <n>         per-query parallelism cap (DOP) on the shared\n\
-                 \x20                       scheduler pool (default: $VERIDB_WORKERS or 1)\n\
+                 \x20 --workers <n>         parallelism cap (DOP) on the shared scheduler\n\
+                 \x20                       pool, for each query and for the verification\n\
+                 \x20                       pass of .verify / stats\n\
+                 \x20                       (default: $VERIDB_WORKERS or 1)\n\
                  \x20 --pool <n>            shared scheduler pool size — one pool serves all\n\
                  \x20                       concurrent queries and net turns (default:\n\
                  \x20                       $VERIDB_POOL, $VERIDB_WORKERS, or machine cores)\n\
-                 \x20 --verify-threads <n>  concurrent verifiers for .verify / stats\n\
-                 \x20                       (default: same as --workers)\n\
                  \x20 --listen <addr>       serve: listen address\n\
                  \x20                       (default: $VERIDB_LISTEN or 127.0.0.1:5433)\n\
                  \x20 --channel <name>      connect: portal channel name (default: repl)\n\
@@ -202,7 +194,7 @@ fn main() {
             continue;
         }
         if buffer.is_empty() && line.starts_with('.') {
-            if !meta_command(&db, line, &mut timing, verify_threads) {
+            if !meta_command(&db, line, &mut timing) {
                 break;
             }
             continue;
@@ -241,7 +233,7 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Option<T
 
 /// `veridb stats [rows]`: load TPC-H tables, run the paper's query mix
 /// (Q1, Q3, Q6, Q19), verify, and print the metrics snapshot.
-fn cmd_stats(rows: usize, config: VeriDbConfig, verify_threads: usize) -> i32 {
+fn cmd_stats(rows: usize, config: VeriDbConfig) -> i32 {
     let db = match VeriDb::open(config) {
         Ok(db) => db,
         Err(e) => {
@@ -281,7 +273,7 @@ fn cmd_stats(rows: usize, config: VeriDbConfig, verify_threads: usize) -> i32 {
             }
         }
     }
-    if let Err(e) = db.verify_now_parallel(verify_threads) {
+    if let Err(e) = db.verify_now() {
         eprintln!("SECURITY ALARM: {e}");
         return 1;
     }
@@ -425,15 +417,7 @@ fn cmd_connect(addr: &str, channel: &str, config: &VeriDbConfig) -> i32 {
                 match client.query(sql.trim_end_matches(';')) {
                     Ok(result) => {
                         let dt = start.elapsed();
-                        if result.columns == ["rows_affected"] {
-                            match result.rows.first().and_then(|r| r.values().first()) {
-                                Some(n) => println!("ok ({n} row(s) affected)"),
-                                None => println!("ok"),
-                            }
-                        } else {
-                            print!("{}", result.to_table());
-                            println!("({} row(s))", result.rows.len());
-                        }
+                        print_result(&result);
                         println!("-- {:.3} ms over the wire", dt.as_secs_f64() * 1e3);
                     }
                     Err(e) if e.is_security_violation() => {
@@ -452,20 +436,26 @@ fn cmd_connect(addr: &str, channel: &str, config: &VeriDbConfig) -> i32 {
     0
 }
 
+/// Print a statement's outcome: the affected-row count of DML/DDL, or the
+/// result table and its row count.
+fn print_result(result: &QueryResult) {
+    if result.columns == ["rows_affected"] {
+        match result.rows.first().and_then(|r| r.values().first()) {
+            Some(n) => println!("ok ({n} row(s) affected)"),
+            None => println!("ok"),
+        }
+    } else {
+        print!("{}", result.to_table());
+        println!("({} row(s))", result.rows.len());
+    }
+}
+
 fn run_sql(db: &VeriDb, sql: &str, timing: bool) {
     let start = Instant::now();
     match db.sql(sql) {
         Ok(result) => {
             let dt = start.elapsed();
-            if result.columns == ["rows_affected"] {
-                match result.rows.first().and_then(|r| r.values().first()) {
-                    Some(n) => println!("ok ({n} row(s) affected)"),
-                    None => println!("ok"),
-                }
-            } else {
-                print!("{}", result.to_table());
-                println!("({} row(s))", result.rows.len());
-            }
+            print_result(&result);
             if timing {
                 println!("-- {:.3} ms", dt.as_secs_f64() * 1e3);
             }
@@ -481,7 +471,7 @@ fn run_sql(db: &VeriDb, sql: &str, timing: bool) {
 }
 
 /// Handle a `.meta` command; returns false to exit the shell.
-fn meta_command(db: &VeriDb, line: &str, timing: &mut bool, verify_threads: usize) -> bool {
+fn meta_command(db: &VeriDb, line: &str, timing: &mut bool) -> bool {
     let mut parts = line.split_whitespace();
     match parts.next().unwrap_or("") {
         ".quit" | ".exit" | ".q" => return false,
@@ -492,7 +482,7 @@ fn meta_command(db: &VeriDb, line: &str, timing: &mut bool, verify_threads: usiz
                  \x20 .schema <table>    show a table's columns and chains\n\
                  \x20 .explain <sql>     show the physical plan\n\
                  \x20 .verify            run a full verification pass\n\
-                 \x20                    (--verify-threads concurrent verifiers)\n\
+                 \x20                    (at the --workers DOP)\n\
                  \x20 .costs             simulated SGX cost counters\n\
                  \x20 .stats             veridb-obs metrics snapshot (all layers)\n\
                  \x20 .timing on|off     toggle query timing\n\
@@ -536,12 +526,13 @@ fn meta_command(db: &VeriDb, line: &str, timing: &mut bool, verify_threads: usiz
         }
         ".verify" => {
             let start = Instant::now();
-            match db.verify_now_parallel(verify_threads) {
+            match db.verify_now() {
                 Ok(report) => println!(
                     "verification PASSED: {} pages processed ({} re-read) \
-                     by {verify_threads} verifier(s) in {:.3} ms",
+                     at DOP {} in {:.3} ms",
                     report.pages_processed,
                     report.pages_read,
+                    db.memory().workers(),
                     start.elapsed().as_secs_f64() * 1e3
                 ),
                 Err(e) => eprintln!("SECURITY ALARM: {e}"),

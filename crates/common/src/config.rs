@@ -129,19 +129,7 @@ fn default_pool_threads() -> usize {
 }
 
 fn default_workers() -> usize {
-    match std::env::var("VERIDB_WORKERS") {
-        Err(_) => 1,
-        Ok(s) => match s.parse::<usize>() {
-            Ok(n) if (1..=64).contains(&n) => n,
-            _ => {
-                eprintln!(
-                    "warning: invalid VERIDB_WORKERS value {s:?} (expected 1..=64); \
-                     falling back to 1 worker"
-                );
-                1
-            }
-        },
-    }
+    env_knob("VERIDB_WORKERS", 1, 64, 1)
 }
 
 /// Default connection cap when `VERIDB_MAX_CONNS` is unset.
@@ -162,8 +150,7 @@ fn default_listen_addr() -> Option<String> {
 }
 
 /// Parse a bounded numeric env knob, warning (with the offending value
-/// named) and falling back to the default when out of range — the same
-/// contract `VERIDB_WORKERS` established.
+/// named) and falling back to the default when out of range.
 fn env_knob<T: std::str::FromStr + PartialOrd + std::fmt::Display + Copy>(
     var: &str,
     lo: T,

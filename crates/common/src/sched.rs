@@ -1,5 +1,6 @@
 //! The process-wide work-stealing worker pool shared by every concurrent
-//! verified query (and by the network server's connection turns).
+//! verified query, every synchronous verification pass, and the network
+//! server's connection turns.
 //!
 //! Before this module, each parallel region spawned its own scoped thread
 //! pool (`std::thread::scope` + per-region spawn), so N concurrent
@@ -8,8 +9,11 @@
 //! long-lived workers** — sized to machine parallelism, overridable via
 //! `VERIDB_POOL` / `VERIDB_WORKERS` — serves all jobs in the process:
 //!
-//! - **Indexed jobs** ([`run_job`]): a parallel region submits its morsel
-//!   / partition / sort-run task set as one job. Task indices are seeded
+//! - **Indexed jobs** ([`run_job`], and [`run_indexed`] on top of it): a
+//!   parallel region submits its morsel / partition / sort-run task set,
+//!   and `VerifiedMemory::verify_now` its per-partition passes (§3.3's
+//!   "multiple verifiers … for different (disjoint) sections of the
+//!   memory"), as one job. Task indices are seeded
 //!   round-robin across per-job **lanes**; a worker attached to the job
 //!   pops the front of its own lane and, when empty, steals from the back
 //!   of a victim lane (the same discipline the scoped scheduler used, so
@@ -30,12 +34,13 @@
 //!
 //! Workers block only on the registry condvar, and only when no job wants
 //! a worker and no task is queued. A submitter blocks on its job's
-//! completion condvar — unless the submitter *is* a pool worker (a
-//! connection turn executing a query, or a nested parallel region), in
-//! which case it first **helps**: it attaches to its own job and claims
-//! tasks until none remain. Help-before-wait guarantees progress even when
-//! every other worker is busy, so the wait graph over jobs is a DAG that
-//! bottoms out in finite task bodies.
+//! completion condvar only after it has **helped**: it attaches to its
+//! own job and claims tasks until none remain. Help-before-wait
+//! guarantees progress even when every pool worker is busy or blocked —
+//! a connection turn executing a query, a nested parallel region, or a
+//! durable seal whose verification pass runs while its caller holds the
+//! commit-order lock that other turns wait on — so the wait graph over
+//! jobs is a DAG that bottoms out in finite task bodies.
 //!
 //! # Determinism
 //!
@@ -58,6 +63,7 @@
 //! can touch the body after `run_job` returns.
 
 use crate::sync::{Condvar, Mutex};
+use crate::{Error, Result};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -100,13 +106,8 @@ static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// 1-based pool worker id; 0 for external threads.
-    static WORKER_ID: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// True on a pool worker thread (used to pick help-before-wait).
-pub fn is_pool_worker() -> bool {
-    WORKER_ID.with(|w| w.get() != 0)
+    /// True on a pool worker thread.
+    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Request a pool size before the pool starts. Returns the effective
@@ -219,7 +220,8 @@ pub struct JobStats {
     pub sched_wait_us: u64,
     /// Pool size at execution time.
     pub pool_size: usize,
-    /// Peak number of workers concurrently attached to the job.
+    /// Peak number of pool workers concurrently attached to the job (a
+    /// helping submitter counts only if it is itself a pool worker).
     pub workers_attached: usize,
 }
 
@@ -231,9 +233,9 @@ pub type JobBody<'a> = dyn Fn(JobTask) -> bool + Sync + 'a;
 
 /// Submit `tasks` indices as one job with per-job DOP cap `dop`, then
 /// block until every claimed task completed and no task remains claimable.
-/// The calling thread helps execute the job when it is itself a pool
-/// worker (see the module docs' blocking discipline). Bodies that panic
-/// abort the job like a `false` return; the worker survives.
+/// The calling thread helps execute the job before it waits (see the
+/// module docs' blocking discipline). Bodies that panic abort the job like
+/// a `false` return; the worker survives.
 pub fn run_job(tasks: usize, dop: usize, body: &JobBody<'_>) -> JobStats {
     let p = pool();
     if tasks == 0 {
@@ -262,6 +264,7 @@ pub fn run_job(tasks: usize, dop: usize, body: &JobBody<'_>) -> JobStats {
             unclaimed: tasks,
             running: 0,
             attached: 0,
+            pool_attached: 0,
             tickets: 0,
             failed: false,
             done: false,
@@ -274,12 +277,10 @@ pub fn run_job(tasks: usize, dop: usize, body: &JobBody<'_>) -> JobStats {
     });
     p.registry.lock().jobs.push(Arc::clone(&job));
     p.work_cv.notify_all();
-    if is_pool_worker() {
-        // Help-before-wait: guarantees progress even when every other
-        // worker is busy (and lets a lone active query on a busy server
-        // run at DOP ≥ 1 immediately).
-        job.run_on(false);
-    }
+    // Help-before-wait: guarantees progress even when every worker is
+    // busy or blocked (and lets a lone active query on a busy server run
+    // at DOP ≥ 1 immediately).
+    job.run_on(false, IS_POOL_WORKER.with(|w| w.get()));
     let mut st = job.state.lock();
     while !st.done {
         st = job.done_cv.wait(st);
@@ -292,6 +293,61 @@ pub fn run_job(tasks: usize, dop: usize, body: &JobBody<'_>) -> JobStats {
         pool_size: p.size,
         workers_attached: job.peak_attached.load(Ordering::Relaxed),
     }
+}
+
+/// Run `work` once for every index in `0..tasks` at DOP `dop` and return
+/// the results in index order, with the job's [`JobStats`] (`None` when
+/// the tasks ran inline).
+///
+/// With one task or a DOP of one the tasks run inline on the caller, in
+/// index order, up to the first error. Otherwise they run as one
+/// [`run_job`]: once a task fails no new task is claimed, the
+/// lowest-indexed error is returned, and a task that panicked on the pool
+/// becomes an error.
+pub fn run_indexed<T, F>(tasks: usize, dop: usize, work: F) -> (Result<Vec<T>>, Option<JobStats>)
+where
+    T: Send,
+    F: Fn(JobTask) -> Result<T> + Sync,
+{
+    if tasks <= 1 || dop <= 1 {
+        let out = (0..tasks)
+            .map(|index| {
+                work(JobTask {
+                    index,
+                    lane: 0,
+                    stolen: false,
+                    cross_job: false,
+                })
+            })
+            .collect();
+        return (out, None);
+    }
+    let slots: Vec<Mutex<Option<Result<T>>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    // A failed task fails the job, which stops further claims.
+    let stats = run_job(tasks, dop, &|t: JobTask| {
+        let result = work(t);
+        let ok = result.is_ok();
+        *slots[t.index].lock() = Some(result);
+        ok
+    });
+    // Lowest-indexed recorded error wins. Under work stealing an
+    // abandoned (never-claimed) index can sit anywhere relative to the
+    // error, so scan for errors before requiring every slot be filled.
+    let mut out = Vec::with_capacity(tasks);
+    for slot in slots {
+        match slot.into_inner() {
+            Some(Ok(value)) => out.push(value),
+            Some(Err(e)) => return (Err(e), Some(stats)),
+            None => {}
+        }
+    }
+    // With no recorded error, an empty slot means its task panicked on
+    // the pool (the job failed without a result).
+    if out.len() < tasks {
+        let e = Error::Plan("parallel job aborted: a task panicked on the scheduler pool".into());
+        return (Err(e), Some(stats));
+    }
+    (Ok(out), Some(stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +402,7 @@ enum Unit {
 }
 
 fn worker_main(wid: usize) {
-    WORKER_ID.with(|w| w.set(wid + 1));
+    IS_POOL_WORKER.with(|w| w.set(true));
     let p = pool();
     let mut last_job: u64 = 0;
     loop {
@@ -367,7 +423,7 @@ fn worker_main(wid: usize) {
                     p.cross_steals[wid].fetch_add(1, Ordering::Relaxed);
                 }
                 last_job = job.id;
-                job.run_on(cross);
+                job.run_on(cross, true);
             }
             Unit::Task(task) => {
                 if catch_unwind(AssertUnwindSafe(task)).is_err() {
@@ -405,6 +461,7 @@ struct Job {
     submitted: Instant,
     /// Microseconds from submission to first claim (`u64::MAX` = none).
     first_claim_us: AtomicU64,
+    /// Peak of `JobState::pool_attached`.
     peak_attached: AtomicUsize,
 }
 
@@ -421,8 +478,10 @@ struct JobState {
     unclaimed: usize,
     /// Claimed indices whose body is executing right now.
     running: usize,
-    /// Workers currently attached.
+    /// Threads currently attached (at most `dop`).
     attached: usize,
+    /// Of those, pool workers (the rest is a helping outside submitter).
+    pool_attached: usize,
     /// Lane-assignment ticket for arriving workers.
     tickets: usize,
     failed: bool,
@@ -437,20 +496,24 @@ impl Job {
         !st.done && !st.failed && st.unclaimed > 0 && st.attached < self.dop
     }
 
-    fn attach(&self) -> Option<usize> {
+    fn attach(&self, pool_worker: bool) -> Option<usize> {
         let mut st = self.state.lock();
         if st.done || st.failed || st.unclaimed == 0 || st.attached >= self.dop {
             return None;
         }
         st.attached += 1;
+        st.pool_attached += usize::from(pool_worker);
         let lane = st.tickets % st.lanes.len();
         st.tickets += 1;
-        self.peak_attached.fetch_max(st.attached, Ordering::Relaxed);
+        self.peak_attached
+            .fetch_max(st.pool_attached, Ordering::Relaxed);
         Some(lane)
     }
 
-    fn detach(&self) {
-        self.state.lock().attached -= 1;
+    fn detach(&self, pool_worker: bool) {
+        let mut st = self.state.lock();
+        st.attached -= 1;
+        st.pool_attached -= usize::from(pool_worker);
     }
 
     /// Claim the next index for a worker on `lane`: own front first, then
@@ -504,9 +567,10 @@ impl Job {
     }
 
     /// Attach, drain claims, detach. `cross_job` tags the first claimed
-    /// task for steal attribution.
-    fn run_on(&self, cross_job: bool) {
-        let Some(lane) = self.attach() else {
+    /// task for steal attribution; `pool_worker` says whether the calling
+    /// thread is one of the pool's.
+    fn run_on(&self, cross_job: bool, pool_worker: bool) {
+        let Some(lane) = self.attach(pool_worker) else {
             return;
         };
         let mut cross = cross_job;
@@ -525,7 +589,7 @@ impl Job {
             let ok = catch_unwind(AssertUnwindSafe(|| body(task))).unwrap_or(false);
             self.complete(ok);
         }
-        self.detach();
+        self.detach(pool_worker);
     }
 }
 
@@ -578,6 +642,71 @@ mod tests {
             true
         });
         assert_eq!(ok.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn run_indexed_keeps_index_order_and_runs_inline_at_dop_one() {
+        let (out, stats) = run_indexed(40, 4, |t: JobTask| Ok(t.index * 10));
+        assert_eq!(out.unwrap(), (0..40).map(|i| i * 10).collect::<Vec<_>>());
+        assert!(stats.is_some());
+        let caller = std::thread::current().id();
+        let (out, stats) = run_indexed(8, 1, |t: JobTask| {
+            assert_eq!(std::thread::current().id(), caller, "DOP 1 runs inline");
+            Ok(t.index)
+        });
+        assert_eq!(out.unwrap(), (0..8).collect::<Vec<_>>());
+        assert!(stats.is_none());
+    }
+
+    #[test]
+    fn run_indexed_returns_the_lowest_indexed_recorded_error() {
+        for dop in [1, 4] {
+            let ran = Mutex::new(Vec::new());
+            let (out, _) = run_indexed(64, dop, |t: JobTask| -> Result<()> {
+                ran.lock().push(t.index);
+                Err(Error::PageNotFound(t.index as u64))
+            });
+            let lowest = *ran.lock().iter().min().unwrap();
+            assert_eq!(out.unwrap_err(), Error::PageNotFound(lowest as u64));
+            assert!(ran.lock().len() < 64, "claims must stop on failure");
+        }
+    }
+
+    #[test]
+    fn run_indexed_turns_a_task_panic_into_an_error() {
+        let (out, _) = run_indexed(8, 2, |t: JobTask| {
+            if t.index == 3 {
+                panic!("boom");
+            }
+            Ok(t.index)
+        });
+        assert!(matches!(out, Err(Error::Plan(_))), "{out:?}");
+    }
+
+    /// An outside thread holding a lock that every pool worker waits on
+    /// (a durable seal under the commit-order lock, with each worker
+    /// running a turn blocked on that lock) still finishes its own job.
+    #[test]
+    fn submitter_finishes_its_job_while_every_worker_is_blocked() {
+        let gate = Arc::new(Mutex::new(()));
+        let held = gate.lock();
+        let blocked = Arc::new(AtomicUsize::new(0));
+        for _ in 0..pool_size() {
+            let (gate, blocked) = (Arc::clone(&gate), Arc::clone(&blocked));
+            spawn(move || {
+                blocked.fetch_add(1, Ordering::SeqCst);
+                drop(gate.lock());
+            });
+        }
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while blocked.load(Ordering::SeqCst) < pool_size() && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(blocked.load(Ordering::SeqCst), pool_size());
+        let (out, stats) = run_indexed(16, 4, |t: JobTask| Ok(t.index));
+        assert_eq!(out.unwrap(), (0..16).collect::<Vec<_>>());
+        assert_eq!(stats.unwrap().workers_attached, 0, "only the submitter ran");
+        drop(held);
     }
 
     #[test]

@@ -109,11 +109,11 @@ impl VeriDb {
         // size (0 = auto: VERIDB_POOL → VERIDB_WORKERS → cores) before
         // anything submits work. The first open wins; conflicting later
         // sizes warn inside `configure`.
-        let pool = if config.pool_threads > 0 {
-            veridb_common::sched::configure(config.pool_threads)
+        let pool = veridb_common::sched::configure(if config.pool_threads > 0 {
+            config.pool_threads
         } else {
-            veridb_common::sched::configure(veridb_common::sched::default_pool_threads())
-        };
+            veridb_common::sched::default_pool_threads()
+        });
         if config.workers > pool {
             static OVERSUBSCRIBE_WARNED: std::sync::Once = std::sync::Once::new();
             OVERSUBSCRIBE_WARNED.call_once(|| {
@@ -137,7 +137,6 @@ impl VeriDb {
         let mem = VerifiedMemory::new(enclave.clone(), &config);
         let catalog = Arc::new(Catalog::new(Arc::clone(&mem)));
         let engine = Arc::new(QueryEngine::new(catalog));
-        engine.set_workers(config.workers);
         let db = VeriDb {
             enclave,
             mem,
@@ -209,24 +208,22 @@ impl VeriDb {
         )
     }
 
-    /// Set the worker-pool size for morsel-driven parallel query
-    /// execution (overrides the `workers` value the database was opened
-    /// with; `1` reverts to fully serial plans).
+    /// Set the database's degree of parallelism (DOP), overriding the
+    /// `workers` value it was opened with: the cap on shared-pool workers
+    /// for both morsel-driven query regions and [`VeriDb::verify_now`]'s
+    /// partition passes. `1` reverts to serial plans and inline
+    /// verification.
     pub fn set_workers(&self, workers: usize) {
         self.engine.set_workers(workers);
     }
 
     /// Run a full synchronous verification pass over every RSWS partition.
-    /// Uses `config.workers` concurrent verifiers over disjoint partitions
-    /// when it is greater than one.
+    /// At a DOP above one ([`VeriDb::set_workers`], seeded from
+    /// `config.workers`) the per-partition passes run concurrently as one
+    /// job on the shared scheduler pool (§3.3's "multiple verifiers");
+    /// at DOP 1 they run inline on the caller.
     pub fn verify_now(&self) -> Result<VerifyReport> {
         self.mem.verify_now()
-    }
-
-    /// Run a full verification pass with `threads` concurrent verifiers
-    /// over disjoint partitions (§3.3's "multiple verifiers").
-    pub fn verify_now_parallel(&self, threads: usize) -> Result<VerifyReport> {
-        self.mem.verify_now_parallel(threads)
     }
 
     /// First verification failure observed, if any.
@@ -236,18 +233,9 @@ impl VeriDb {
 
     /// Start the non-quiescent background verifier (idempotent).
     pub fn start_verifier(&self) {
-        self.start_verifier_pool(1);
-    }
-
-    /// Start a pool of `threads` background verifiers over disjoint
-    /// partitions (idempotent; §3.3's "multiple verifiers").
-    pub fn start_verifier_pool(&self, threads: usize) {
         let mut v = self.verifier.lock();
         if v.is_none() {
-            *v = Some(BackgroundVerifier::spawn_pool(
-                Arc::clone(&self.mem),
-                threads,
-            ));
+            *v = Some(BackgroundVerifier::spawn(Arc::clone(&self.mem)));
         }
     }
 

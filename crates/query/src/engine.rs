@@ -88,7 +88,7 @@ pub struct PlanOptions {
     /// a cap on how many of the process-wide scheduler pool's workers
     /// one parallel region may occupy, not a thread count (no threads
     /// are created per query). `0` (the default) inherits the
-    /// engine-level setting ([`QueryEngine::set_workers`]); `1` forces
+    /// database DOP ([`QueryEngine::set_workers`]); `1` forces
     /// a serial plan with no Exchange/Gather nodes.
     pub workers: usize,
 }
@@ -149,9 +149,6 @@ pub struct QueryEngine {
     /// When set, materialization points overflow into verified storage
     /// (§5.4) instead of growing enclave-resident buffers.
     spill_threshold: std::sync::atomic::AtomicUsize,
-    /// Default per-query degree of parallelism (DOP cap on the shared
-    /// scheduler pool), used when [`PlanOptions::workers`] is `0`.
-    workers: std::sync::atomic::AtomicUsize,
     /// Serializes mutations (and their log appends): DML was already
     /// effectively serial through the storage layer's per-table locks;
     /// this lock pins down a *total* order so the durability log's
@@ -167,7 +164,6 @@ impl QueryEngine {
         QueryEngine {
             catalog,
             spill_threshold: std::sync::atomic::AtomicUsize::new(0),
-            workers: std::sync::atomic::AtomicUsize::new(1),
             commit_order: Mutex::new(()),
             sink: RwLock::new(None),
         }
@@ -196,21 +192,21 @@ impl QueryEngine {
             .store(bytes.unwrap_or(0), std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Set the default per-query degree of parallelism (clamped to at
-    /// least 1). This caps how many shared-pool workers one query's
-    /// parallel regions use; it no longer sizes any private pool.
-    /// Queries pick this up unless their [`PlanOptions::workers`]
-    /// overrides it.
+    /// Set the database's degree of parallelism (clamped to at least 1),
+    /// kept in the catalog's [`VerifiedMemory`](veridb_wrcm::VerifiedMemory)
+    /// and seeded from `VeriDbConfig::workers`. It caps how many
+    /// shared-pool workers one query's parallel regions use — unless the
+    /// query's [`PlanOptions::workers`] overrides it — and how many run a
+    /// verification pass.
     pub fn set_workers(&self, workers: usize) {
-        self.workers
-            .store(workers.max(1), std::sync::atomic::Ordering::Relaxed);
+        self.catalog.memory().set_workers(workers);
     }
 
-    /// `opts` with `workers == 0` resolved to the engine default.
+    /// `opts` with `workers == 0` resolved to the database DOP.
     fn resolve_opts(&self, opts: &PlanOptions) -> PlanOptions {
         let mut o = *opts;
         if o.workers == 0 {
-            o.workers = self.workers.load(std::sync::atomic::Ordering::Relaxed);
+            o.workers = self.catalog.memory().workers();
         }
         o
     }

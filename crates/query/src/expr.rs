@@ -158,31 +158,12 @@ pub fn eval_truth(expr: &Expr, row: &Row) -> Result<Truth> {
             op: BinOp::And,
             left,
             right,
-        } => {
-            // Short-circuit: False AND x = False without evaluating x
-            // (sound under three-valued logic and critical for join
-            // predicates of the form `equi AND <expensive residual>`).
-            match eval_truth(left, row)? {
-                Truth::False => Ok(Truth::False),
-                l => match (l, eval_truth(right, row)?) {
-                    (_, Truth::False) => Ok(Truth::False),
-                    (Truth::True, Truth::True) => Ok(Truth::True),
-                    _ => Ok(Truth::Null),
-                },
-            }
-        }
+        } => and3(left, right, row),
         Expr::Binary {
             op: BinOp::Or,
             left,
             right,
-        } => match eval_truth(left, row)? {
-            Truth::True => Ok(Truth::True),
-            l => match (l, eval_truth(right, row)?) {
-                (_, Truth::True) => Ok(Truth::True),
-                (Truth::False, Truth::False) => Ok(Truth::False),
-                _ => Ok(Truth::Null),
-            },
-        },
+        } => or3(left, right, row),
         Expr::Not(e) => Ok(match eval_truth(e, row)? {
             Truth::True => Truth::False,
             Truth::False => Truth::True,
@@ -197,6 +178,32 @@ pub fn eval_truth(expr: &Expr, row: &Row) -> Result<Truth> {
             v => Err(Error::Type(format!("{v} is not a boolean"))),
         },
     }
+}
+
+/// Three-valued `left AND right`. Short-circuit: False AND x = False
+/// without evaluating x (sound under three-valued logic and critical for
+/// join predicates of the form `equi AND <expensive residual>`).
+fn and3(left: &Expr, right: &Expr, row: &Row) -> Result<Truth> {
+    Ok(match eval_truth(left, row)? {
+        Truth::False => Truth::False,
+        l => match (l, eval_truth(right, row)?) {
+            (_, Truth::False) => Truth::False,
+            (Truth::True, Truth::True) => Truth::True,
+            _ => Truth::Null,
+        },
+    })
+}
+
+/// Three-valued `left OR right`, short-circuiting on a True left side.
+fn or3(left: &Expr, right: &Expr, row: &Row) -> Result<Truth> {
+    Ok(match eval_truth(left, row)? {
+        Truth::True => Truth::True,
+        l => match (l, eval_truth(right, row)?) {
+            (_, Truth::True) => Truth::True,
+            (Truth::False, Truth::False) => Truth::False,
+            _ => Truth::Null,
+        },
+    })
 }
 
 /// True iff the predicate evaluates to `True` (filter semantics).
@@ -224,21 +231,16 @@ pub fn cmp_values(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
 
 fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> Result<Value> {
     if matches!(op, BinOp::And | BinOp::Or) {
-        // Route through three-valued logic.
-        return Ok(
-            match eval_truth(
-                &Expr::Binary {
-                    op,
-                    left: Box::new(left.clone()),
-                    right: Box::new(right.clone()),
-                },
-                row,
-            )? {
-                Truth::True => Value::Int(1),
-                Truth::False => Value::Int(0),
-                Truth::Null => Value::Null,
-            },
-        );
+        let truth = if op == BinOp::And {
+            and3(left, right, row)?
+        } else {
+            or3(left, right, row)?
+        };
+        return Ok(match truth {
+            Truth::True => Value::Int(1),
+            Truth::False => Value::Int(0),
+            Truth::Null => Value::Null,
+        });
     }
     let l = eval(left, row)?;
     let r = eval(right, row)?;
@@ -387,9 +389,41 @@ mod tests {
         );
         // NOT NULL = NULL
         assert_eq!(
-            eval_truth(&E::Not(Box::new(null_pred)), &r).unwrap(),
+            eval_truth(&E::Not(Box::new(null_pred.clone())), &r).unwrap(),
             Truth::Null
         );
+        // Value-context `eval` agrees with `eval_truth` on all nine input
+        // pairs of AND and of OR (the Kleene tables, False < Null < True).
+        let operands = [
+            (Truth::False, bin(BinOp::Eq, cref(0), E::int(11))),
+            (Truth::Null, null_pred),
+            (Truth::True, true_pred),
+        ];
+        let rank = |t: Truth| match t {
+            Truth::False => 0,
+            Truth::Null => 1,
+            Truth::True => 2,
+        };
+        for (lt, l) in &operands {
+            for (rt, rexpr) in &operands {
+                for op in [BinOp::And, BinOp::Or] {
+                    let e = bin(op, l.clone(), rexpr.clone());
+                    let (lo, hi) = if rank(*lt) <= rank(*rt) {
+                        (*lt, *rt)
+                    } else {
+                        (*rt, *lt)
+                    };
+                    let want = if op == BinOp::And { lo } else { hi };
+                    assert_eq!(eval_truth(&e, &r).unwrap(), want, "{lt:?} {op:?} {rt:?}");
+                    let value = match want {
+                        Truth::True => Value::Int(1),
+                        Truth::False => Value::Int(0),
+                        Truth::Null => Value::Null,
+                    };
+                    assert_eq!(eval(&e, &r).unwrap(), value, "{lt:?} {op:?} {rt:?}");
+                }
+            }
+        }
     }
 
     #[test]

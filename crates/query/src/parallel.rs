@@ -56,7 +56,6 @@ use crate::planner::{AccessPath, PhysicalPlan};
 use crate::spill::{ExecContext, SpilledRows};
 use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use veridb_common::obs::{Metric, Metrics};
 use veridb_common::sync::Mutex;
@@ -190,15 +189,12 @@ fn morsel_plans(region: &PhysicalPlan) -> Vec<PhysicalPlan> {
 // ---- shared-pool work-stealing execution ------------------------------------------
 
 /// Execute `work(0..n)` as one job on the process-wide scheduler pool
-/// ([`sched`]) and return results in index order.
+/// through [`sched::run_indexed`] and return results in index order.
 ///
 /// `dop` caps how many pool workers may execute this job concurrently
 /// (the `--workers` knob); the pool itself is sized once per process, so
 /// concurrent queries share a fixed set of threads instead of spawning
-/// their own. Task indices are seeded round-robin across per-job lanes;
-/// an attached worker pops the front of its own lane and steals from the
-/// back of a victim's, exactly as the old per-query scoped pool did —
-/// lane numbers feed the per-worker observability counters.
+/// their own. Lane numbers feed the per-worker observability counters.
 ///
 /// The closure returns `(result, rows_processed)`; row counts feed the
 /// per-worker observability counters. With one task or a DOP of one the
@@ -210,22 +206,15 @@ where
     T: Send,
     F: Fn(usize) -> Result<(T, u64)> + Sync,
 {
-    if n <= 1 || dop <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(work(i)?.0);
-        }
-        return Ok(out);
+    // The same test `sched::run_indexed` uses to run the tasks inline.
+    let parallel = n > 1 && dop > 1;
+    if parallel {
+        metrics.inc(Metric::ParallelRegions);
+        metrics.add(Metric::MorselsDispatched, n as u64);
     }
-    metrics.inc(Metric::ParallelRegions);
-    metrics.add(Metric::MorselsDispatched, n as u64);
-    let failed = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let stats = sched::run_job(n, dop, &|t: sched::JobTask| {
-        if failed.load(Ordering::Relaxed) {
-            // Another task already recorded an error; abort without
-            // running (mirrors the old pre-claim failure check).
-            return false;
+    let (out, stats) = sched::run_indexed(n, dop, |t: sched::JobTask| {
+        if !parallel {
+            return work(t.index).map(|(value, _rows)| value);
         }
         let started = std::time::Instant::now();
         metrics.add_at(Metric::WorkerMorsels, t.lane, 1);
@@ -238,7 +227,6 @@ where
             metrics.inc(Metric::CrossJobSteals);
         }
         let result = work(t.index);
-        let ok = result.is_ok();
         if let Ok((_, rows)) = &result {
             metrics.add_at(Metric::WorkerRows, t.lane, *rows);
         }
@@ -247,36 +235,14 @@ where
             t.lane,
             started.elapsed().as_nanos() as u64,
         );
-        if !ok {
-            failed.store(true, Ordering::Relaxed);
-        }
-        *slots[t.index].lock() = Some(result.map(|(value, _rows)| value));
-        ok
+        result.map(|(value, _rows)| value)
     });
-    metrics.record(Metric::SchedWaitUs, stats.sched_wait_us);
-    let pct = (stats.workers_attached * 100) / stats.pool_size.max(1);
-    metrics.set(Metric::PoolUtilization, pct as u64);
-    // Lowest-indexed recorded error wins. Under work stealing an
-    // abandoned (never-claimed) index can sit anywhere relative to the
-    // error, so scan for errors before requiring every slot be filled.
-    let mut out = Vec::with_capacity(n);
-    let mut panicked = false;
-    for slot in &slots {
-        match slot.lock().take() {
-            Some(Ok(value)) => out.push(value),
-            Some(Err(e)) => return Err(e),
-            // A missing slot with no recorded error means the task body
-            // panicked inside the pool (the scheduler caught it and
-            // failed the job without a result).
-            None => panicked = true,
-        }
+    if let Some(stats) = stats {
+        metrics.record(Metric::SchedWaitUs, stats.sched_wait_us);
+        let pct = (stats.workers_attached * 100) / stats.pool_size.max(1);
+        metrics.set(Metric::PoolUtilization, pct as u64);
     }
-    if panicked || failed.load(Ordering::Relaxed) {
-        return Err(veridb_common::Error::Plan(
-            "parallel region aborted: a morsel task panicked on the scheduler pool".into(),
-        ));
-    }
-    Ok(out)
+    out
 }
 
 /// Execute one closure per morsel plan via [`run_indexed`] and return the

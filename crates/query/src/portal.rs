@@ -177,12 +177,6 @@ impl QueryPortal {
         Error::ReplayDetected { qid }
     }
 
-    /// Run a full verification pass and report (used before endorsing
-    /// critical results, or periodically by operations).
-    pub fn verify_storage(&self) -> Result<veridb_wrcm::VerifyReport> {
-        self.mem.verify_now()
-    }
-
     /// The portal's engine (for tests and examples).
     pub fn engine(&self) -> &Arc<QueryEngine> {
         &self.engine

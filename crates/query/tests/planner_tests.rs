@@ -13,6 +13,9 @@ fn setup() -> Arc<QueryEngine> {
     let enclave = Enclave::create("planner-test", 1 << 24, [17u8; 32]);
     let mut cfg = VeriDbConfig::default();
     cfg.verify_every_ops = None;
+    // Serial unless a test raises the DOP itself, whatever VERIDB_WORKERS
+    // says: these tests check plan shapes against an explicit DOP.
+    cfg.workers = 1;
     let mem = VerifiedMemory::new(enclave, &cfg);
     let eng = Arc::new(QueryEngine::new(Arc::new(Catalog::new(mem))));
     eng.execute("CREATE TABLE m (id INT PRIMARY KEY, ts INT CHAINED, grp INT CHAINED, note TEXT)")

@@ -13,6 +13,9 @@ fn setup() -> (Arc<VerifiedMemory>, Arc<QueryEngine>) {
     let enclave = Enclave::create("sql-test", 1 << 24, [9u8; 32]);
     let mut cfg = VeriDbConfig::default();
     cfg.verify_every_ops = None;
+    // Serial unless a test raises the DOP itself, whatever VERIDB_WORKERS
+    // says: these tests check plan shapes against an explicit DOP.
+    cfg.workers = 1;
     let mem = VerifiedMemory::new(enclave, &cfg);
     let catalog = Arc::new(Catalog::new(Arc::clone(&mem)));
     (mem, Arc::new(QueryEngine::new(catalog)))

@@ -175,6 +175,10 @@ pub struct VerifiedMemory {
     /// First verification failure observed, if any. Results must not be
     /// endorsed once this is set.
     poisoned: Mutex<Option<Error>>,
+    /// The database's degree of parallelism: the DOP cap of query
+    /// parallel regions and of [`Self::verify_now`]'s partition passes on
+    /// the shared scheduler pool. Seeded from `VeriDbConfig::workers`.
+    workers: AtomicUsize,
 }
 
 impl VerifiedMemory {
@@ -202,6 +206,7 @@ impl VerifiedMemory {
             scan_cursor: AtomicUsize::new(0),
             scan_locks,
             poisoned: Mutex::new(None),
+            workers: AtomicUsize::new(cfg.workers.max(1)),
         })
     }
 
@@ -213,6 +218,19 @@ impl VerifiedMemory {
     /// The configuration this memory was created with.
     pub fn config(&self) -> &VeriDbConfig {
         &self.cfg
+    }
+
+    /// The database's degree of parallelism (at least 1).
+    pub fn workers(&self) -> usize {
+        self.workers.load(Ordering::Relaxed)
+    }
+
+    /// Set the degree of parallelism of query parallel regions and of
+    /// verification passes (clamped to at least 1). A DOP caps how many
+    /// workers of the shared scheduler pool one job may occupy; it
+    /// creates no threads.
+    pub fn set_workers(&self, workers: usize) {
+        self.workers.store(workers.max(1), Ordering::Relaxed);
     }
 
     /// Number of RSWS partitions.
@@ -867,49 +885,22 @@ impl VerifiedMemory {
     }
 
     /// Run one complete verification pass over every partition,
-    /// synchronously, with the configured number of concurrent verifiers
-    /// (`VeriDbConfig::workers`). Returns a report, or the first verification
-    /// failure.
+    /// synchronously. The per-partition passes run as one job on the
+    /// shared scheduler pool at the database DOP ([`Self::workers`]) —
+    /// §3.3's "multiple verifiers may be employed to verify different
+    /// (disjoint) sections of the memory" — or inline on the caller at
+    /// DOP 1. Returns a report, or the lowest-indexed partition's
+    /// verification failure; after a failure no further partition pass
+    /// starts.
     pub fn verify_now(&self) -> Result<VerifyReport> {
-        self.verify_now_parallel(self.cfg.workers.max(1))
-    }
-
-    /// Verify with `threads` concurrent verifiers over disjoint
-    /// partitions — the paper's §3.3 deployment option ("multiple
-    /// verifiers may be employed to verify different (disjoint) sections
-    /// of the memory for performance purposes").
-    pub fn verify_now_parallel(&self, threads: usize) -> Result<VerifyReport> {
-        let threads = threads.clamp(1, self.parts.len());
-        let totals = Mutex::new((0u64, 0u64));
-        let first_err: Mutex<Option<Error>> = Mutex::new(None);
-        let next = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let pi = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    if pi >= self.parts.len() {
-                        return;
-                    }
-                    match self.run_partition_pass(pi) {
-                        Ok((p, r)) => {
-                            let mut t = totals.lock();
-                            t.0 += p;
-                            t.1 += r;
-                        }
-                        Err(e) => {
-                            let mut slot = first_err.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = first_err.into_inner() {
-            return Err(e);
-        }
-        let (pages_processed, pages_read) = totals.into_inner();
+        let (passes, _) = veridb_common::sched::run_indexed(
+            self.parts.len(),
+            self.workers(),
+            |t: veridb_common::sched::JobTask| self.run_partition_pass(t.index),
+        );
+        let (pages_processed, pages_read) = passes?
+            .into_iter()
+            .fold((0, 0), |(p, r), (dp, dr)| (p + dp, r + dr));
         let mut epochs = Vec::with_capacity(self.parts.len());
         let mut fingerprint = [0u8; 32];
         for p in self.parts.iter() {
@@ -1611,16 +1602,19 @@ mod tests {
         m.verify_now().unwrap();
     }
 
-    /// Writers, batched readers, and a verifier pool all racing: the
-    /// epoch digests must still balance at the end, and no verification
-    /// alarm may fire on an honest history.
+    /// Writers, batched readers, and several verifiers all racing — the
+    /// background verifier, a `scan_step` thread and a thread running
+    /// `verify_now` passes on the scheduler pool at DOP 4: the epoch
+    /// digests must still balance at the end, and no verification alarm
+    /// may fire on an honest history.
     #[test]
     fn threaded_stress_batched_readers_writers_and_verifier_pool() {
         let m = mem_with(|c| {
             c.rsws_partitions = 8;
             c.verify_every_ops = Some(25);
+            c.workers = 4;
         });
-        let v = crate::verifier::BackgroundVerifier::spawn_pool(Arc::clone(&m), 2);
+        let v = crate::verifier::BackgroundVerifier::spawn(Arc::clone(&m));
         let pages: Vec<u64> = (0..8).map(|_| m.allocate_page()).collect();
         let mut by_page: Vec<(u64, Vec<CellAddr>)> = Vec::new();
         for &p in &pages {
@@ -1666,6 +1660,20 @@ mod tests {
                     m.read_page_batch(*page, &slots, &mut batch).unwrap();
                     assert_eq!(batch.len(), slots.len());
                     i += 5;
+                }
+            }));
+        }
+        // Verifiers beside the background one.
+        for t in 0..2 {
+            let m = Arc::clone(&m);
+            let stop = Arc::clone(&stop);
+            handles.push(std::thread::spawn(move || {
+                while stop.load(Ordering::Relaxed) == 0 {
+                    if t == 0 {
+                        m.scan_step().unwrap();
+                    } else {
+                        m.verify_now().unwrap();
+                    }
                 }
             }));
         }

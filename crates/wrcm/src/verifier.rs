@@ -13,95 +13,66 @@
 
 use crate::memory::VerifiedMemory;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use veridb_common::sync::Mutex;
 use veridb_common::Error;
 
-/// Handle for one or more background verification threads.
+/// Handle for the background verification thread.
 pub struct BackgroundVerifier {
-    handles: Vec<JoinHandle<Option<Error>>>,
+    /// `None` once the thread has been joined.
+    handle: Option<JoinHandle<Option<Error>>>,
     /// Checked before every scan step, so a stop overtakes any backlog of
     /// queued ticks instead of waiting behind it.
     stop: Arc<AtomicBool>,
-    /// Wakes threads blocked on an empty tick queue at shutdown.
+    /// Wakes the thread if it is blocked on an empty tick queue at
+    /// shutdown.
     wake_tx: Sender<()>,
 }
 
 impl BackgroundVerifier {
-    /// Spawn a single verifier over `mem` and wire its tick channel into
+    /// Spawn the verifier thread over `mem` and wire its tick channel into
     /// the memory's operation counter. One tick = one page scan.
     pub fn spawn(mem: Arc<VerifiedMemory>) -> Self {
-        Self::spawn_pool(mem, 1)
-    }
-
-    /// Spawn `threads` verifier threads sharing the tick stream — the
-    /// paper's §3.3 "multiple verifiers" deployment. Each tick is consumed
-    /// by exactly one thread (they take turns on the shared receiver);
-    /// partition pass locks keep concurrent scans of one partition
-    /// exclusive.
-    pub fn spawn_pool(mem: Arc<VerifiedMemory>, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (tick_tx, tick_rx): (Sender<()>, Receiver<()>) = channel();
-        let tick_rx = Arc::new(Mutex::new(tick_rx));
+        let (tick_tx, tick_rx) = channel::<()>();
         let stop = Arc::new(AtomicBool::new(false));
         mem.set_ticker(tick_tx.clone());
-        let mut handles = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let mem = Arc::clone(&mem);
-            let tick_rx = Arc::clone(&tick_rx);
-            let stop = Arc::clone(&stop);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("veridb-verifier-{i}"))
-                    .spawn(move || {
-                        let mut first_failure: Option<Error> = None;
-                        loop {
-                            let tick = tick_rx.lock().recv();
-                            if tick.is_err() || stop.load(Ordering::Acquire) {
-                                return first_failure;
-                            }
-                            if let Err(e) = mem.scan_step() {
-                                // Poisoning already happened inside
-                                // scan_step; remember the first error and
-                                // keep draining ticks so ops don't block.
-                                if first_failure.is_none() {
-                                    first_failure = Some(e);
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn verifier thread"),
-            );
-        }
+        let thread_stop = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name("veridb-verifier".into())
+            .spawn(move || {
+                let mut first_failure: Option<Error> = None;
+                loop {
+                    if tick_rx.recv().is_err() || thread_stop.load(Ordering::Acquire) {
+                        return first_failure;
+                    }
+                    if let Err(e) = mem.scan_step() {
+                        // Poisoning already happened inside scan_step;
+                        // remember the first error and keep draining ticks
+                        // so ops don't block.
+                        first_failure.get_or_insert(e);
+                    }
+                }
+            })
+            .expect("spawn verifier thread");
         BackgroundVerifier {
-            handles,
+            handle: Some(handle),
             stop,
             wake_tx: tick_tx,
         }
     }
 
-    /// Stop all threads and return the first verification failure any of
-    /// them saw.
+    /// Stop the thread and return the first verification failure it saw.
     pub fn stop(mut self) -> Option<Error> {
         self.shutdown()
     }
 
     fn shutdown(&mut self) -> Option<Error> {
         self.stop.store(true, Ordering::Release);
-        // Each thread consumes at most one more tick before it sees the
-        // flag, so one wake-up per thread reaches every blocked one.
-        for _ in 0..self.handles.len() {
-            let _ = self.wake_tx.send(());
-        }
-        let mut first = None;
-        for h in self.handles.drain(..) {
-            if let Ok(Some(e)) = h.join() {
-                first.get_or_insert(e);
-            }
-        }
-        first
+        // The thread consumes at most one more tick before it sees the
+        // flag, so one wake-up reaches it even if it is blocked.
+        let _ = self.wake_tx.send(());
+        self.handle.take()?.join().ok().flatten()
     }
 }
 
@@ -234,6 +205,10 @@ mod tests {
     }
 }
 
+/// §3.3's "multiple verifiers … for different (disjoint) sections of the
+/// memory": the one background verifier races test threads calling
+/// `scan_step`, and `verify_now` runs its partition passes on the shared
+/// scheduler pool at DOP > 1.
 #[cfg(test)]
 mod pool_tests {
     use super::*;
@@ -242,7 +217,7 @@ mod pool_tests {
     use veridb_common::VeriDbConfig;
     use veridb_enclave::Enclave;
 
-    fn mem(partitions: usize) -> Arc<VerifiedMemory> {
+    fn mem(partitions: usize, workers: usize) -> Arc<VerifiedMemory> {
         let enclave = Enclave::create("pool-test", 1 << 22, [13u8; 32]);
         VerifiedMemory::new(
             enclave,
@@ -254,7 +229,7 @@ mod pool_tests {
                 verify_every_ops: Some(5),
                 track_touched_pages: true,
                 compact_during_verification: true,
-                workers: 1,
+                workers,
                 ..VeriDbConfig::default()
             },
         )
@@ -262,56 +237,69 @@ mod pool_tests {
 
     #[test]
     fn verifier_pool_handles_honest_run() {
-        let m = mem(8);
-        let v = BackgroundVerifier::spawn_pool(Arc::clone(&m), 3);
-        let pages: Vec<u64> = (0..8).map(|_| m.allocate_page()).collect();
-        let mut addrs = Vec::new();
-        for &p in &pages {
-            for i in 0..6 {
-                addrs.push(m.insert_in(p, format!("v{p}-{i}").as_bytes()).unwrap());
+        let m = mem(8, 4);
+        let v = BackgroundVerifier::spawn(Arc::clone(&m));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // Two more verifiers beside the background one.
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        m.scan_step().unwrap();
+                    }
+                });
             }
-        }
-        for _ in 0..50 {
-            for a in &addrs {
-                let _ = m.read(*a).unwrap();
+            let pages: Vec<u64> = (0..8).map(|_| m.allocate_page()).collect();
+            let mut addrs = Vec::new();
+            for &p in &pages {
+                for i in 0..6 {
+                    addrs.push(m.insert_in(p, format!("v{p}-{i}").as_bytes()).unwrap());
+                }
             }
-        }
-        let scanned = Backoff::wait_for(|| m.metrics().get(Metric::ScanSteps) >= 50, 2_000);
-        assert!(scanned, "verifier pool made no scan progress");
+            for _ in 0..50 {
+                for a in &addrs {
+                    let _ = m.read(*a).unwrap();
+                }
+            }
+            let scanned = Backoff::wait_for(|| m.metrics().get(Metric::ScanSteps) >= 50, 2_000);
+            stop.store(true, Ordering::Relaxed);
+            assert!(scanned, "verifier pool made no scan progress");
+        });
         assert!(v.stop().is_none());
         m.verify_now().unwrap();
     }
 
     #[test]
     fn parallel_verify_now_matches_sequential() {
-        let m = mem(8);
+        let m = mem(8, 4);
         let pages: Vec<u64> = (0..8).map(|_| m.allocate_page()).collect();
         for &p in &pages {
             for i in 0..4 {
                 m.insert_in(p, format!("{p}:{i}").as_bytes()).unwrap();
             }
         }
-        let r = m.verify_now_parallel(4).unwrap();
+        let r = m.verify_now().unwrap();
         assert_eq!(r.pages_processed, 8);
         assert_eq!(r.epochs, vec![1; 8]);
         // Second parallel pass over (mostly untouched) pages.
-        let r = m.verify_now_parallel(8).unwrap();
+        m.set_workers(8);
+        let r = m.verify_now().unwrap();
         assert_eq!(r.epochs, vec![2; 8]);
     }
 
     #[test]
     fn parallel_verify_detects_tampering() {
-        let m = mem(4);
+        let m = mem(4, 4);
         let p = m.allocate_page();
         let a = m.insert_in(p, b"honest").unwrap();
         crate::tamper::overwrite_cell(&m, a, b"forged").unwrap();
-        assert!(m.verify_now_parallel(4).is_err());
+        assert!(m.verify_now().is_err());
         assert!(m.poisoned().is_some());
     }
 
     #[test]
     fn concurrent_verify_now_calls_are_safe() {
-        let m = mem(4);
+        let m = mem(4, 2);
         let p = m.allocate_page();
         let addrs: Vec<_> = (0..10)
             .map(|i| m.insert_in(p, format!("x{i}").as_bytes()).unwrap())
@@ -320,7 +308,7 @@ mod pool_tests {
             for _ in 0..3 {
                 s.spawn(|| {
                     for _ in 0..5 {
-                        m.verify_now_parallel(2).unwrap();
+                        m.verify_now().unwrap();
                     }
                 });
             }

@@ -142,3 +142,50 @@ fn tamper_under_parallel_scan_is_detected() {
         Err(e) => assert!(e.is_security_violation(), "unexpected error class: {e}"),
     }
 }
+
+/// `set_workers` sets the verification DOP too: a pass over 16 partitions
+/// run as pool jobs at DOP 4 reports exactly what a DOP-1 pass on an
+/// identical database reports, and records nothing under `query.*`.
+#[test]
+fn set_workers_sets_the_verification_dop() {
+    let open = || {
+        let mut cfg = VeriDbConfig::default();
+        cfg.verify_every_ops = None;
+        cfg.rsws_partitions = 16;
+        cfg.workers = 1;
+        let db = VeriDb::open_with_entropy(cfg, "verify-dop", [7u8; 32]).unwrap();
+        db.sql("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)")
+            .unwrap();
+        for chunk in (0..2_000).collect::<Vec<i64>>().chunks(200) {
+            let values: Vec<String> = chunk
+                .iter()
+                .map(|k| format!("({k}, 'value-{k:06}-padding-padding')"))
+                .collect();
+            db.sql(&format!("INSERT INTO kv VALUES {}", values.join(", ")))
+                .unwrap();
+        }
+        db
+    };
+    let parallel = open();
+    let serial = open();
+    parallel.set_workers(4);
+    assert_eq!(parallel.memory().workers(), 4);
+    let query_rows = |db: &VeriDb| -> Vec<(&'static str, u64)> {
+        let mut rows = db.metrics().counters();
+        rows.retain(|(name, _)| name.starts_with("query."));
+        rows
+    };
+    let before = query_rows(&parallel);
+    let got = parallel.verify_now().unwrap();
+    assert_eq!(
+        query_rows(&parallel),
+        before,
+        "verification moved query.* rows"
+    );
+    assert_eq!(parallel.metrics().get(Metric::ParallelRegions), 0);
+    let expected = serial.verify_now().unwrap();
+    assert!(expected.pages_processed > 16, "every partition holds pages");
+    assert_eq!(got.pages_processed, expected.pages_processed);
+    assert_eq!(got.epochs, expected.epochs);
+    assert_eq!(got.fingerprint, expected.fingerprint);
+}
