@@ -20,54 +20,85 @@
 //! snapshot — a quick end-to-end check that observability is wired
 //! through every layer.
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::time::Instant;
 use veridb::{PlanOptions, QueryResult, VeriDb, VeriDbConfig};
 
+/// The global flags, taken anywhere on the command line as `--flag v` or
+/// `--flag=v`. All of them take a value.
+const FLAGS: [&str; 8] = [
+    "--workers",
+    "--pool",
+    "--listen",
+    "--channel",
+    "--max-conns",
+    "--net-queue",
+    "--data-dir",
+    "--replica-of",
+];
+
+const USAGE: &str = "usage: veridb [flags]               interactive SQL shell\n\
+     \x20      veridb [flags] stats [rows] run a TPC-H-style workload and print metrics\n\
+     \x20      veridb [flags] serve        serve the verifiable protocol over TCP\n\
+     \x20      veridb connect <host:port>  remote verifying SQL shell\n\
+     flags:\n\
+     \x20 --workers <n>         parallelism cap (DOP) on the shared scheduler\n\
+     \x20                       pool, for each query and for the verification\n\
+     \x20                       pass of .verify / stats\n\
+     \x20                       (default: $VERIDB_WORKERS or 1)\n\
+     \x20 --pool <n>            shared scheduler pool size — one pool serves all\n\
+     \x20                       concurrent queries and net turns (default:\n\
+     \x20                       $VERIDB_POOL, $VERIDB_WORKERS, or machine cores)\n\
+     \x20 --listen <addr>       serve: listen address\n\
+     \x20                       (default: $VERIDB_LISTEN or 127.0.0.1:5433)\n\
+     \x20 --channel <name>      connect: portal channel name (default: repl)\n\
+     \x20 --max-conns <n>       serve: concurrent connection cap\n\
+     \x20                       (default: $VERIDB_MAX_CONNS or 64)\n\
+     \x20 --net-queue <n>       serve: admission queue depth; queries past it\n\
+     \x20                       get a retryable Overloaded error\n\
+     \x20                       (default: $VERIDB_NET_QUEUE or 256)\n\
+     \x20 --data-dir <path>     durable mode: MAC-chained write-ahead log,\n\
+     \x20                       snapshots, sealed epoch manifests; restart\n\
+     \x20                       recovers (or refuses, on rollback) from here\n\
+     \x20 --replica-of <addr>   serve: run as a warm replica of the primary at\n\
+     \x20                       <addr> — tail its endorsed log, auto-promote\n\
+     \x20                       when it dies (requires --data-dir)\n\
+     net knobs: $VERIDB_MAX_CONNS, $VERIDB_NET_TIMEOUT_MS, $VERIDB_NET_QUEUE,\n\
+     \x20         $VERIDB_REPLAY_WINDOW";
+
 fn main() {
-    // Global flags (taken anywhere on the command line); the rest are
-    // positional arguments.
-    let mut workers: Option<usize> = None;
-    let mut pool: Option<usize> = None;
-    let mut listen: Option<String> = None;
-    let mut channel: Option<String> = None;
-    let mut max_conns: Option<usize> = None;
-    let mut net_queue: Option<usize> = None;
-    let mut data_dir: Option<String> = None;
-    let mut replica_of: Option<String> = None;
+    let mut flags: HashMap<&str, String> = HashMap::new();
     let mut positional: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        if let Some(v) = a.strip_prefix("--workers=") {
-            workers = parse_flag("--workers", Some(v.to_owned()));
-        } else if let Some(v) = a.strip_prefix("--pool=") {
-            pool = parse_flag("--pool", Some(v.to_owned()));
-        } else if let Some(v) = a.strip_prefix("--listen=") {
-            listen = Some(v.to_owned());
-        } else if let Some(v) = a.strip_prefix("--channel=") {
-            channel = Some(v.to_owned());
-        } else if let Some(v) = a.strip_prefix("--max-conns=") {
-            max_conns = parse_flag("--max-conns", Some(v.to_owned()));
-        } else if let Some(v) = a.strip_prefix("--net-queue=") {
-            net_queue = parse_flag("--net-queue", Some(v.to_owned()));
-        } else if let Some(v) = a.strip_prefix("--data-dir=") {
-            data_dir = Some(v.to_owned());
-        } else if let Some(v) = a.strip_prefix("--replica-of=") {
-            replica_of = Some(v.to_owned());
-        } else {
-            match a.as_str() {
-                "--workers" => workers = parse_flag("--workers", it.next()),
-                "--pool" => pool = parse_flag("--pool", it.next()),
-                "--listen" => listen = parse_flag("--listen", it.next()),
-                "--channel" => channel = parse_flag("--channel", it.next()),
-                "--max-conns" => max_conns = parse_flag("--max-conns", it.next()),
-                "--net-queue" => net_queue = parse_flag("--net-queue", it.next()),
-                "--data-dir" => data_dir = parse_flag("--data-dir", it.next()),
-                "--replica-of" => replica_of = parse_flag("--replica-of", it.next()),
-                _ => positional.push(a),
+        if a == "--help" || !a.starts_with("--") {
+            positional.push(a);
+            continue;
+        }
+        let (name, inline) = match a.split_once('=') {
+            Some((name, v)) => (name, Some(v.to_owned())),
+            None => (a.as_str(), None),
+        };
+        let Some(&flag) = FLAGS.iter().find(|&&f| f == name) else {
+            eprintln!("veridb: unknown flag {name}\n{USAGE}");
+            std::process::exit(2);
+        };
+        match inline.or_else(|| it.next()) {
+            Some(v) => {
+                flags.insert(flag, v);
             }
+            None => eprintln!("warning: {flag} requires a value; ignoring the flag"),
         }
     }
+    let workers: Option<usize> = parse_flag(&flags, "--workers");
+    let pool: Option<usize> = parse_flag(&flags, "--pool");
+    let max_conns: Option<usize> = parse_flag(&flags, "--max-conns");
+    let net_queue: Option<usize> = parse_flag(&flags, "--net-queue");
+    let listen = flags.remove("--listen");
+    let channel = flags.remove("--channel");
+    let data_dir = flags.remove("--data-dir");
+    let replica_of = flags.remove("--replica-of");
     let mut config = VeriDbConfig::default();
     if let Some(w) = workers {
         if !(1..=64).contains(&w) {
@@ -121,36 +152,7 @@ fn main() {
             std::process::exit(cmd_connect(&addr, &channel, &config));
         }
         Some("help" | "--help" | "-h") => {
-            println!(
-                "usage: veridb [flags]               interactive SQL shell\n\
-                 \x20      veridb [flags] stats [rows] run a TPC-H-style workload and print metrics\n\
-                 \x20      veridb [flags] serve        serve the verifiable protocol over TCP\n\
-                 \x20      veridb connect <host:port>  remote verifying SQL shell\n\
-                 flags:\n\
-                 \x20 --workers <n>         parallelism cap (DOP) on the shared scheduler\n\
-                 \x20                       pool, for each query and for the verification\n\
-                 \x20                       pass of .verify / stats\n\
-                 \x20                       (default: $VERIDB_WORKERS or 1)\n\
-                 \x20 --pool <n>            shared scheduler pool size — one pool serves all\n\
-                 \x20                       concurrent queries and net turns (default:\n\
-                 \x20                       $VERIDB_POOL, $VERIDB_WORKERS, or machine cores)\n\
-                 \x20 --listen <addr>       serve: listen address\n\
-                 \x20                       (default: $VERIDB_LISTEN or 127.0.0.1:5433)\n\
-                 \x20 --channel <name>      connect: portal channel name (default: repl)\n\
-                 \x20 --max-conns <n>       serve: concurrent connection cap\n\
-                 \x20                       (default: $VERIDB_MAX_CONNS or 64)\n\
-                 \x20 --net-queue <n>       serve: admission queue depth; queries past it\n\
-                 \x20                       get a retryable Overloaded error\n\
-                 \x20                       (default: $VERIDB_NET_QUEUE or 256)\n\
-                 \x20 --data-dir <path>     durable mode: MAC-chained write-ahead log,\n\
-                 \x20                       snapshots, sealed epoch manifests; restart\n\
-                 \x20                       recovers (or refuses, on rollback) from here\n\
-                 \x20 --replica-of <addr>   serve: run as a warm replica of the primary at\n\
-                 \x20                       <addr> — tail its endorsed log, auto-promote\n\
-                 \x20                       when it dies (requires --data-dir)\n\
-                 net knobs: $VERIDB_MAX_CONNS, $VERIDB_NET_TIMEOUT_MS, $VERIDB_NET_QUEUE,\n\
-                 \x20         $VERIDB_REPLAY_WINDOW"
-            );
+            println!("{USAGE}");
             return;
         }
         _ => {}
@@ -217,11 +219,8 @@ fn main() {
 /// Parse a flag's value, warning (with the offending input named) and
 /// ignoring the flag when the value is missing or unparseable — a typo
 /// silently falling back to defaults is a debugging trap.
-fn parse_flag<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Option<T> {
-    let Some(raw) = raw else {
-        eprintln!("warning: {flag} requires a value; ignoring the flag");
-        return None;
-    };
+fn parse_flag<T: std::str::FromStr>(flags: &HashMap<&str, String>, flag: &str) -> Option<T> {
+    let raw = flags.get(flag)?;
     match raw.parse() {
         Ok(v) => Some(v),
         Err(_) => {

@@ -134,8 +134,8 @@ registry! {
     EpochCloses: Counter, One, "verify.epoch_closes", "Partition epochs closed.";
     VerificationLagOps: Histogram, One, "verify.lag_ops", "Protected ops a partition accumulated before a busy epoch close (the verification lag).";
     PoisonEvents: Counter, One, "verify.poison_events", "Verification failures recorded (storage poisoned).";
-    ScanBatchedRounds: Counter, One, "cursor.batched_rounds", "Cursor rounds served by the batched fast path.";
-    ScanFallbackRounds: Counter, One, "cursor.fallback_rounds", "Cursor rounds that fell back to per-record resolution.";
+    ScanBatchedRounds: Counter, One, "cursor.batched_rounds", "Cursor rounds whose candidates came from the index's next_entries prefetch.";
+    ScanFallbackRounds: Counter, One, "cursor.fallback_rounds", "Cursor rounds whose one candidate came from the index's find_exact.";
     ScanBenignRetries: Counter, One, "cursor.benign_retries", "Benign-race retries inside the verified cursor.";
     QueriesExecuted: Counter, One, "query.executed", "Statements executed by the engine.";
     OperatorRows: Counter, PerOperator, "query.rows.{}", "Rows emitted, per operator class.";

@@ -540,6 +540,31 @@ mod tests {
     }
 
     #[test]
+    fn dropped_table_leaves_a_sealable_directory() {
+        let dir = tmpdir("drop-seal");
+        {
+            let db = VeriDb::open(durable_config(&dir)).unwrap();
+            db.sql("CREATE TABLE a (id INT PRIMARY KEY, v TEXT)")
+                .unwrap();
+            db.sql("CREATE TABLE b (id INT PRIMARY KEY, n INT CHAINED)")
+                .unwrap();
+            db.sql("INSERT INTO a VALUES (1,'x'),(2,'y')").unwrap();
+            db.sql("INSERT INTO b VALUES (1,10),(2,20)").unwrap();
+            db.sql("DROP TABLE b").unwrap();
+            // The seal pins the state fingerprint of every live cell; a
+            // dropped table's sentinels must not be among them.
+            db.seal_now().unwrap();
+        }
+        let db = VeriDb::open(durable_config(&dir)).unwrap();
+        let r = db.sql("SELECT id, v FROM a").unwrap();
+        assert_eq!(r.rows.len(), 2);
+        assert_eq!(r.rows[1][1], Value::Str("y".into()));
+        assert!(db.sql("SELECT * FROM b").is_err(), "b stays dropped");
+        db.verify_now().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn deleted_counter_is_rollback_detected() {
         let dir = tmpdir("ctr-del");
         {

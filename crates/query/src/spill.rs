@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use veridb_common::obs::{Metric, Metrics};
 use veridb_common::{Error, Result, Row};
-use veridb_wrcm::{CellAddr, VerifiedMemory};
+use veridb_wrcm::{CellAddr, PageOwner, VerifiedMemory};
 
 /// Execution context threaded through operator construction.
 #[derive(Clone, Default)]
@@ -59,6 +59,9 @@ pub struct SpilledRows {
     in_mem_bytes: usize,
     /// Scratch pages owned by this buffer.
     pages: Vec<u64>,
+    /// The page owner of those pages, minted with the first one: no table
+    /// read accepts a spilled cell, and this buffer reads no other cell.
+    owner: Option<PageOwner>,
     /// Addresses of spilled rows, in push order.
     spilled: Vec<CellAddr>,
 }
@@ -71,6 +74,7 @@ impl SpilledRows {
             in_mem: Vec::new(),
             in_mem_bytes: 0,
             pages: Vec::new(),
+            owner: None,
             spilled: Vec::new(),
         }
     }
@@ -121,7 +125,8 @@ impl SpilledRows {
                 Err(e) => return Err(e),
             }
         }
-        let pid = mem.allocate_page();
+        let owner = *self.owner.get_or_insert_with(|| mem.new_owner());
+        let pid = mem.allocate_page_for(owner);
         self.pages.push(pid);
         let addr = mem.insert_in(pid, &bytes)?;
         self.spilled.push(addr);
@@ -139,7 +144,8 @@ impl SpilledRows {
             .get(i - self.in_mem.len())
             .ok_or_else(|| Error::InvalidArgument(format!("row index {i} out of range")))?;
         let mem = self.ctx.mem.as_ref().expect("spilled rows imply a memory");
-        let bytes = mem.read(addr)?;
+        let owner = self.owner.expect("spilled rows imply a scratch page");
+        let bytes = mem.read_as(owner, addr)?;
         Row::decode_from_slice(&bytes).map_err(|e| {
             Error::TamperDetected(format!("malformed spilled intermediate row at {addr}: {e}"))
         })

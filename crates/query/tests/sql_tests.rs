@@ -1060,3 +1060,77 @@ fn aggregate_inside_between_and_in_list() {
         vec![vec![10]]
     );
 }
+
+/// Forwards every oracle call to a shared [`MaliciousIndex`], so the test
+/// keeps the handle that arms it.
+struct Lying(Arc<veridb_storage::MaliciousIndex>);
+impl veridb_storage::IndexOracle for Lying {
+    fn find_floor(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
+        self.0.find_floor(k)
+    }
+    fn find_below(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
+        self.0.find_below(k)
+    }
+    fn find_exact(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
+        self.0.find_exact(k)
+    }
+    fn upsert(&self, k: veridb_storage::ChainKey, a: veridb_wrcm::CellAddr) {
+        self.0.upsert(k, a)
+    }
+    fn remove(&self, k: &veridb_storage::ChainKey) {
+        self.0.remove(k)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn next_entries(
+        &self,
+        from: &veridb_storage::ChainKey,
+        limit: usize,
+    ) -> Vec<(veridb_storage::ChainKey, veridb_wrcm::CellAddr)> {
+        self.0.next_entries(from, limit)
+    }
+}
+
+#[test]
+fn a_lying_index_cannot_answer_sql_with_another_tables_row() {
+    use veridb_storage::index::IndexLie;
+    use veridb_storage::{ChainKey, IndexOracle, MaliciousIndex};
+    let (mem, eng) = setup();
+    let schema = || {
+        veridb_common::Schema::new(vec![
+            veridb_common::ColumnDef::new("id", veridb_common::ColumnType::Int),
+            veridb_common::ColumnDef::new("count", veridb_common::ColumnType::Int),
+            veridb_common::ColumnDef::new("price", veridb_common::ColumnType::Int),
+        ])
+        .unwrap()
+    };
+    let lying = |name: &str| {
+        let mal = Arc::new(MaliciousIndex::new());
+        eng.catalog()
+            .create_table_with_indexes(name, schema(), vec![Box::new(Lying(Arc::clone(&mal)))])
+            .unwrap();
+        mal
+    };
+    let victim = lying("victim");
+    let other = lying("other");
+    eng.execute("INSERT INTO victim VALUES (1,100,100),(2,100,200),(3,500,100),(4,600,100)")
+        .unwrap();
+    eng.execute("INSERT INTO other VALUES (2,999,999)").unwrap();
+    let forged = other.find_exact(&ChainKey::val(Value::Int(2))).unwrap();
+    victim.arm(IndexLie::WrongRecord(forged));
+
+    for sql in [
+        "SELECT * FROM victim WHERE id = 2",
+        "SELECT * FROM victim WHERE id >= 2",
+    ] {
+        match eng.execute(sql) {
+            Err(Error::TamperDetected(_)) => {}
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
+    victim.disarm();
+    let r = eng.execute("SELECT * FROM victim WHERE id >= 2").unwrap();
+    assert_eq!(ints(&r.rows, 0), vec![2, 3, 4]);
+    mem.verify_now().unwrap();
+}

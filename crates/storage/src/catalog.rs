@@ -79,8 +79,11 @@ impl Catalog {
         names
     }
 
-    /// Drop a table (its pages remain registered with the memory; record
-    /// cells are deleted so digests stay balanced).
+    /// Drop a table. Its rows and then its chain sentinels are deleted
+    /// through the verified path, so RS/WS stay balanced and no live cell
+    /// of the table outlives it: a later seal's state fingerprint covers
+    /// exactly the tables a snapshot carries. The emptied pages remain
+    /// registered with the memory.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let lname = name.to_ascii_lowercase();
         let table = self
@@ -88,14 +91,7 @@ impl Catalog {
             .write()
             .remove(&lname)
             .ok_or_else(|| Error::TableNotFound(name.to_owned()))?;
-        // Delete every row through the verified path so RS/WS stay
-        // balanced; the sentinels stay behind as tombstoned history.
-        let rows: Vec<_> = table.seq_scan().collect_rows()?;
-        let pk_col = table.schema().primary_key();
-        for row in rows {
-            table.delete(&row[pk_col])?;
-        }
-        Ok(())
+        table.delete_all()
     }
 }
 

@@ -14,15 +14,24 @@
 //! are consumed for evidence but not emitted — exactly the `k2`/`k6`
 //! records of the paper's Example 2.1/5.1.
 //!
+//! **One walk.** After the floor record, every round advances the walk
+//! over a run of candidate `(key, addr)` bindings. The run is the
+//! index's prefetch (`next_entries`) when that starts at the key the chain
+//! names next; on a miss it is the single binding `find_exact` returns.
+//! Either way the candidates are read page by page with one verified batch
+//! each, every cell becomes a record at the table's one accept point, and
+//! a record joins the walk only if it carries the key its predecessor's
+//! `nKey` named. The first candidate that does not ends the round.
+//!
 //! **Benign races**: a concurrent insert/delete can momentarily leave the
 //! untrusted index out of sync with the chain (the cursor resolves an
 //! `nKey` the splicer has not yet published, or one just removed). These
-//! are indistinguishable from tampering *at that instant*, so the cursor
-//! retries resolution a few times before raising the alarm. If the `nKey`
-//! still does not resolve, the cursor re-reads the record that announced
-//! it: when that record's verified `nKey` has moved on, a concurrent
-//! splice removed or bypassed the key and the walk follows the new link;
-//! when it has not, the inconsistency is reported as tampering.
+//! are indistinguishable from tampering *at that instant*, so a
+//! `find_exact` round is retried a few times before the alarm. If the
+//! `nKey` still does not resolve, the cursor re-reads the record that
+//! announced it: when that record's verified `nKey` has moved on, a
+//! concurrent splice removed or bypassed the key and the walk follows the
+//! new link; when it has not, the inconsistency is reported as tampering.
 
 use crate::chain::ChainKey;
 use crate::record::StoredRecord;
@@ -30,12 +39,13 @@ use crate::table::Table;
 use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
+use veridb_common::backoff::{Backoff, RETRY_ATTEMPTS};
 use veridb_common::obs::{Metric, Metrics};
 use veridb_common::{Error, Result, Row, Value};
-use veridb_wrcm::{ReadBatch, SlotId};
+use veridb_wrcm::{CellAddr, ReadBatch, SlotId};
 
 /// How many `(key, addr)` bindings the cursor prefetches from the
-/// untrusted index per batched round.
+/// untrusted index per round.
 const SCAN_BATCH: usize = 32;
 
 /// An iterator of verified rows over one chain of one table.
@@ -48,23 +58,22 @@ pub struct VerifiedScan {
     expected: Option<ChainKey>,
     /// Key of the record whose `nKey` is `expected`.
     prev: Option<ChainKey>,
-    started: bool,
     done: bool,
     /// Records consumed (including evidence-only ones), for diagnostics.
     records_read: u64,
-    /// Rows verified by the batched fast path, awaiting emission.
+    /// Verified rows awaiting emission.
     ready: VecDeque<Row>,
-    /// Reusable scratch for batched page reads (one flat buffer for the
-    /// whole scan instead of a `Vec<u8>` per cell).
+    /// Reusable scratch for page reads (one flat buffer for the whole
+    /// scan instead of a `Vec<u8>` per cell).
     scratch: ReadBatch,
-    /// Per-round buffers of the batched fast path, reused across rounds:
-    /// the decoded candidate records, the candidate indices sorted by
-    /// page, and the slots of one page's run.
+    /// Per-round buffers, reused across rounds: the accepted candidate
+    /// records, the candidate indices sorted by page, and the slots of one
+    /// page's run.
     recs: Vec<Option<StoredRecord>>,
     order: Vec<usize>,
     slots: Vec<SlotId>,
-    /// Rounds served by the batched fast path (diagnostics for the
-    /// batching benchmarks).
+    /// Rounds whose candidates came from `next_entries` (diagnostics for
+    /// the batching benchmarks).
     batched_rounds: u64,
 }
 
@@ -77,7 +86,6 @@ impl VerifiedScan {
             hi,
             expected: None,
             prev: None,
-            started: false,
             done: false,
             records_read: 0,
             ready: VecDeque::new(),
@@ -94,7 +102,8 @@ impl VerifiedScan {
         self.records_read
     }
 
-    /// Number of rounds served by the batched fast path (diagnostics).
+    /// Number of rounds whose candidates came from the index's
+    /// `next_entries` prefetch (diagnostics).
     pub fn batched_rounds(&self) -> u64 {
         self.batched_rounds
     }
@@ -148,37 +157,6 @@ impl VerifiedScan {
         }
     }
 
-    /// Resolve a chain key to its record via the untrusted index, with
-    /// verification and benign-race retries.
-    fn resolve(&mut self, key: &ChainKey) -> Result<StoredRecord> {
-        self.met().inc(Metric::ScanFallbackRounds);
-        let chain = self.chain;
-        let rec = self.table.probe(
-            Some(Metric::ScanBenignRetries),
-            || {
-                self.table.index(chain).find_exact(key).ok_or_else(|| {
-                    Error::TamperDetected(format!(
-                        "range scan: chain {chain} is broken — the index cannot \
-                         resolve nKey {key}; a record may have been omitted"
-                    ))
-                })
-            },
-            || Error::TamperDetected(format!("range scan: index pointed {key} at a dead slot")),
-            |rec| {
-                if rec.key(chain) != key {
-                    return Err(Error::TamperDetected(format!(
-                        "range scan: expected record keyed {key}, index returned \
-                         one keyed {} (condition 3 violated)",
-                        rec.key(chain)
-                    )));
-                }
-                Ok(rec)
-            },
-        )?;
-        self.records_read += 1;
-        Ok(rec)
-    }
-
     /// After `expected` failed to resolve: re-read the record that
     /// announced it, through verified memory. If its `nKey` is no longer
     /// `expected`, a concurrent delete (or insert) spliced the chain after
@@ -207,10 +185,10 @@ impl VerifiedScan {
 
     /// Locate the starting record: the floor of the lower bound
     /// (condition 1).
-    fn start(&mut self) -> Result<StoredRecord> {
+    fn start(&self) -> Result<StoredRecord> {
         let q = self.lo_key();
         let chain = self.chain;
-        let rec = self.table.probe(
+        self.table.probe(
             Some(Metric::ScanBenignRetries),
             || {
                 self.table.index(chain).find_floor(&q).ok_or_else(|| {
@@ -231,9 +209,7 @@ impl VerifiedScan {
                 }
                 Ok(rec)
             },
-        )?;
-        self.records_read += 1;
-        Ok(rec)
+        )
     }
 
     /// Does a record keyed `key` carry a column value inside the bounds?
@@ -242,114 +218,138 @@ impl VerifiedScan {
         key.as_val().is_some_and(|k| self.value_in_bounds(k.head()))
     }
 
-    /// Batched fast path: ask the untrusted index for the next run of
-    /// `(key, addr)` bindings, read the candidate cells page by page with
-    /// one verified batch each ([`veridb_wrcm::VerifiedMemory::read_page_batch`]),
-    /// then re-verify the chain conditions record by record. Soundness is
-    /// unchanged: every emitted row still satisfies conditions 1–3 from
-    /// the same `⟨key, nKey⟩` evidence, and the extra verified reads a
-    /// stale hint causes are digest-neutral. Any divergence — a lying
-    /// index, a concurrent splice, a dead slot — truncates the verified
-    /// prefix without raising an alarm; the per-record path resumes from
-    /// the last verified position and performs its own retry/alarm logic.
-    fn try_fill_ready(&mut self, expected0: &ChainKey) -> Result<()> {
-        let cands = self
+    /// Take a verified record into the walk: queue its row if it lies
+    /// inside the bounds, and expect its `nKey` next.
+    fn advance(&mut self, mut rec: StoredRecord) {
+        self.records_read += 1;
+        let (key, nkey) = rec.chains.swap_remove(self.chain);
+        if self.emits(&key) {
+            self.ready.push_back(rec.row);
+        }
+        self.prev = Some(key);
+        self.expect(nkey);
+    }
+
+    /// Make `key` the next key the chain demands; the walk is done once
+    /// it lies past the upper bound.
+    fn expect(&mut self, key: ChainKey) {
+        self.done = self.past_upper(&key);
+        self.expected = Some(key);
+    }
+
+    /// One round of the walk. The floor record starts it; afterwards the
+    /// candidates are the index's prefetch when that starts at the
+    /// expected key and holds at least two bindings inside the bounds
+    /// (keys past the upper bound need not be read: the predecessor's
+    /// `nKey` witnesses right coverage). A prefetch that cannot be used or
+    /// advances nothing — stale, lying, or naming a page the table does
+    /// not own — costs no alarm: the round falls back to the single
+    /// binding `find_exact` returns, retried with backoff, and only that
+    /// binding's failures are alarms.
+    fn step(&mut self) -> Result<()> {
+        let Some(expected) = self.expected.clone() else {
+            let rec = self.start()?;
+            self.advance(rec);
+            return Ok(());
+        };
+        let mut cands = self
             .table
             .index(self.chain)
-            .next_entries(expected0, SCAN_BATCH);
-        // The run is only usable if it starts exactly at the key the chain
-        // evidence demands next.
-        if cands.len() < 2 || &cands[0].0 != expected0 {
-            return Ok(());
-        }
-        // Keys past the upper bound need not be read: the predecessor's
-        // nKey witnesses right coverage (condition 2).
-        let n = cands
+            .next_entries(&expected, SCAN_BATCH);
+        let in_bounds = cands
             .iter()
             .position(|(k, _)| self.past_upper(k))
             .unwrap_or(cands.len());
-        let cands = &cands[..n];
-        if cands.len() < 2 {
+        cands.truncate(in_bounds);
+        if cands.len() >= 2 && cands[0].0 == expected && self.walk(&cands).unwrap_or(0) > 0 {
+            self.batched_rounds += 1;
+            self.met().inc(Metric::ScanBatchedRounds);
             return Ok(());
         }
 
-        // One verified batch read per distinct page, request order
-        // preserved within each page: sort candidate indices by page, then
-        // read each run of equal pages. The buffers are the scan's own and
-        // keep their allocations across rounds.
+        self.met().inc(Metric::ScanFallbackRounds);
+        let mut backoff = Backoff::new();
+        for attempt in 0..RETRY_ATTEMPTS {
+            if attempt > 0 {
+                self.met().inc(Metric::ScanBenignRetries);
+                backoff.wait();
+            }
+            let Some(addr) = self.table.index(self.chain).find_exact(&expected) else {
+                continue;
+            };
+            if self.walk(&[(expected.clone(), addr)])? > 0 {
+                return Ok(());
+            }
+        }
+        match self.relinked(&expected)? {
+            Some(next) => {
+                self.expect(next);
+                Ok(())
+            }
+            None => Err(Error::TamperDetected(format!(
+                "range scan: chain {} is broken — the index resolves nKey {expected} \
+                 to no live record carrying it (condition 3 violated); a record may \
+                 have been omitted",
+                self.chain
+            ))),
+        }
+    }
+
+    /// Advance the walk over a run of candidate bindings, returning how
+    /// many records joined it. The candidates are read with one verified
+    /// batch per distinct page, request order preserved within each page,
+    /// and each cell read passes the table's accept point; a failed read
+    /// or a malformed record fails the round before any record joins. Then
+    /// the walk follows the chain through the run: a candidate joins only
+    /// if its binding and its record both carry the key the walk expects
+    /// (condition 3), so a dead slot, a moved record or a divergent binding
+    /// ends the run.
+    fn walk(&mut self, cands: &[(ChainKey, CellAddr)]) -> Result<usize> {
         self.recs.clear();
         self.recs.resize_with(cands.len(), || None);
         self.order.clear();
         self.order.extend(0..cands.len());
         self.order.sort_unstable_by_key(|&i| (cands[i].1.page, i));
-        let mem = self.table.memory();
         for run in self
             .order
             .chunk_by(|&a, &b| cands[a].1.page == cands[b].1.page)
         {
+            let page = cands[run[0]].1.page;
             self.slots.clear();
             self.slots.extend(run.iter().map(|&i| cands[i].1.slot));
-            if mem
-                .read_page_batch(cands[run[0]].1.page, &self.slots, &mut self.scratch)
-                .is_err()
-            {
-                continue; // stale page hint: those candidates stay None
-            }
+            self.table
+                .read_cells(page, &self.slots, &mut self.scratch)?;
             // Entries come back in request order with dead slots skipped;
             // align them against the request by slot id.
             let mut p = 0;
             for (&i, &slot) in run.iter().zip(&self.slots) {
-                match self.scratch.get(p) {
-                    Some((got, bytes)) if got == slot => {
+                if let Some((got, bytes)) = self.scratch.get(p) {
+                    if got == slot {
                         p += 1;
-                        // A decode failure here is indistinguishable from a
-                        // concurrent splice reusing the slot mid-batch, so
-                        // it must NOT alarm: leave the candidate None — the
-                        // chain walk below truncates the verified prefix at
-                        // it and the per-record path retries (and raises
-                        // the alarm itself if the damage persists).
-                        if let Ok(rec) = StoredRecord::decode(bytes) {
-                            self.recs[i] = Some(rec);
-                        }
+                        self.recs[i] = Some(self.table.accept(CellAddr { page, slot }, bytes)?);
                     }
-                    _ => {} // dead slot: leave None for the fallback
                 }
             }
         }
 
-        // Walk the verified prefix: each record must carry the key the
-        // previous record's nKey announced (condition 3).
-        let mut expected = expected0.clone();
-        let mut verified = 0u64;
+        let mut joined = 0;
         for (i, (key, _)) in cands.iter().enumerate() {
-            if *key != expected {
-                break; // index enumeration diverges from the chain
+            if self.expected.as_ref() != Some(key) {
+                break;
             }
-            let Some(mut rec) = self.recs[i].take() else {
+            let Some(rec) = self.recs[i].take() else {
                 break;
             };
-            if rec.key(self.chain) != &expected {
-                break; // stale binding: record moved or was replaced
+            if rec.key(self.chain) != key {
+                break;
             }
-            self.records_read += 1;
-            verified += 1;
-            let emits = self.emits(&expected);
-            expected = rec.chains.swap_remove(self.chain).1;
-            if emits {
-                self.ready.push_back(rec.row);
-            }
-            if self.past_upper(&expected) {
+            self.advance(rec);
+            joined += 1;
+            if self.done {
                 break;
             }
         }
-        if verified > 0 {
-            self.expected = Some(expected);
-            // The last verified record's key is its candidate's key.
-            self.prev = Some(cands[verified as usize - 1].0.clone());
-            self.batched_rounds += 1;
-            self.met().inc(Metric::ScanBatchedRounds);
-        }
-        Ok(())
+        Ok(joined)
     }
 }
 
@@ -357,72 +357,16 @@ impl Iterator for VerifiedScan {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        // Obtain the next record: either the starting floor or the chain
-        // successor — by the batched fast path when the index can feed it,
-        // record by record otherwise.
         loop {
             if let Some(row) = self.ready.pop_front() {
                 return Some(Ok(row));
             }
-            let mut rec = if !self.started {
-                self.started = true;
-                match self.start() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                }
-            } else {
-                let expected = self.expected.clone().expect("set after start");
-                if self.past_upper(&expected) {
-                    self.done = true;
-                    return None;
-                }
-                if let Err(e) = self.try_fill_ready(&expected) {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                if !self.ready.is_empty() || self.expected.as_ref() != Some(&expected) {
-                    // The batch produced rows and/or advanced the cursor
-                    // (possibly over evidence-only records); re-enter.
-                    continue;
-                }
-                match self.resolve(&expected) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let relinked = match e {
-                            Error::TamperDetected(_) => self.relinked(&expected),
-                            _ => Ok(None),
-                        };
-                        match relinked {
-                            Ok(Some(next)) => {
-                                self.expected = Some(next);
-                                continue;
-                            }
-                            alarm => {
-                                self.done = true;
-                                return Some(Err(alarm.err().unwrap_or(e)));
-                            }
-                        }
-                    }
-                }
-            };
-            let (key, nkey) = rec.chains.swap_remove(self.chain);
-            let emits = self.emits(&key);
-            self.expected = Some(nkey);
-            self.prev = Some(key);
-            if emits {
-                return Some(Ok(rec.row));
-            }
-            // Evidence-only record (floor below the range, or a value
-            // outside an excluded bound): keep walking.
-            if self.past_upper(self.expected.as_ref().expect("just set")) {
-                self.done = true;
+            if self.done {
                 return None;
+            }
+            if let Err(e) = self.step() {
+                self.done = true;
+                return Some(Err(e));
             }
         }
     }

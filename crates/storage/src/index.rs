@@ -51,9 +51,9 @@ pub trait IndexOracle: Send + Sync {
     /// bindings in ascending key order, starting at the smallest key
     /// `>= from`. Purely advisory — the scan re-verifies every answer
     /// against the `⟨key, nKey⟩` chain evidence, so a lying or stale reply
-    /// can only force the per-record fallback path, never a wrong accepted
-    /// result. The default returns nothing, which disables batching for
-    /// oracles that cannot enumerate in order.
+    /// can only cost a `find_exact` round, never a wrong accepted result.
+    /// The default returns nothing, so every round of a scan over an
+    /// oracle that cannot enumerate in order reads one record.
     fn next_entries(&self, from: &ChainKey, limit: usize) -> Vec<(ChainKey, CellAddr)> {
         let _ = (from, limit);
         Vec::new()
@@ -224,13 +224,21 @@ impl IndexOracle for MaliciousIndex {
     }
 
     fn next_entries(&self, from: &ChainKey, limit: usize) -> Vec<(ChainKey, CellAddr)> {
+        let mut entries = self.inner.next_entries(from, limit);
         if self.active.load(Ordering::Relaxed) {
-            // Refuse to prefetch while armed: the scan then exercises the
-            // per-record resolve path, where the armed lie is told (and
-            // caught) exactly as the attack tests expect.
-            return Vec::new();
+            // The prefetch lies too, so attacks reach the batched walk:
+            // the first binding keeps its key but names the armed address.
+            match *self.lie.read() {
+                Some(IndexLie::WrongRecord(addr)) => {
+                    if let Some(first) = entries.first_mut() {
+                        first.1 = addr;
+                    }
+                }
+                Some(IndexLie::DenyAll) => entries.clear(),
+                Some(IndexLie::Undershoot) | None => {}
+            }
         }
-        self.inner.next_entries(from, limit)
+        entries
     }
 }
 

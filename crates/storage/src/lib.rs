@@ -14,10 +14,15 @@
 //!   the absence of every key in `(k₁, k₂)` — because it was read from
 //!   write-read consistent memory, the host cannot forge it.
 //!
+//! - Every record is read as its own table's cell: the enclave records
+//!   which table (or spill buffer) it handed each page to and refuses a
+//!   read that names another owner, so a record only ever proves things
+//!   about its own table's chains.
+//!
 //! Point lookups and range scans return rows together with the evidence
 //! checks of §5.2 already applied; any inconsistency (an untrusted index
-//! pointing at the wrong record, an omitted row, a broken chain) surfaces
-//! as [`veridb_common::Error::TamperDetected`].
+//! pointing at the wrong record or at another table's, an omitted row, a
+//! broken chain) surfaces as [`veridb_common::Error::TamperDetected`].
 //!
 //! The physical placement of records (which page, which slot) and the
 //! per-chain indexes mapping keys to `(page, slot)` are **untrusted**: a

@@ -29,7 +29,7 @@ use veridb_common::backoff::{Backoff, RETRY_ATTEMPTS};
 use veridb_common::obs::Metric;
 use veridb_common::sync::Mutex;
 use veridb_common::{Error, Result, Row, Schema, Value};
-use veridb_wrcm::{CellAddr, VerifiedMemory};
+use veridb_wrcm::{CellAddr, PageOwner, ReadBatch, SlotId, VerifiedMemory};
 
 /// A verified relational table.
 pub struct Table {
@@ -38,6 +38,10 @@ pub struct Table {
     /// Schema column index of each chain (chain 0 is the primary key).
     chain_cols: Vec<usize>,
     mem: Arc<VerifiedMemory>,
+    /// The owner the enclave records on every page this table allocates;
+    /// every read of a record names it, so a cell of another table (or
+    /// of a spill buffer) is never accepted as one of this table's.
+    owner: PageOwner,
     /// One untrusted index per chain.
     indexes: Vec<Box<dyn IndexOracle>>,
     /// Pages owned by this table (untrusted allocation hint).
@@ -78,6 +82,7 @@ impl Table {
             name: name.to_owned(),
             schema,
             chain_cols,
+            owner: mem.new_owner(),
             mem,
             indexes,
             pages: Mutex::new(Vec::new()),
@@ -163,21 +168,49 @@ impl Table {
                 Err(e) => return Err(e),
             }
         }
-        let pid = self.mem.allocate_page();
+        let pid = self.mem.allocate_page_for(self.owner);
         pages.push(pid);
         self.mem.insert_in(pid, bytes)
     }
 
-    /// Read and decode the record at `addr` through the verified memory.
-    ///
-    /// A decode failure is classified as tampering: the enclave only ever
-    /// writes well-formed records, so malformed bytes on the verified read
-    /// path mean the host modified memory (the deferred scan will confirm
-    /// with `VerificationFailed`, but the alarm is raisable immediately).
+    /// Read and accept the record at `addr` through the verified memory,
+    /// as this table's cell.
     pub(crate) fn read_record(&self, addr: CellAddr) -> Result<StoredRecord> {
-        let bytes = self.mem.read(addr)?;
-        StoredRecord::decode(&bytes)
-            .map_err(|e| Error::TamperDetected(format!("malformed record at {addr}: {e}")))
+        self.accept(addr, &self.mem.read_as(self.owner, addr)?)
+    }
+
+    /// The one place a verified cell becomes a record: point probes,
+    /// writers, the scan's re-reads and its batched walk all pass here.
+    /// The bytes were read from this table's own pages, because the
+    /// enclave refuses a read that names another page owner, and the
+    /// enclave only ever writes well-formed records of the table's shape
+    /// there. So bytes that do not decode to a record with one
+    /// `(key, nKey)` pair per chain of this table mean the host modified
+    /// memory: the alarm is `TamperDetected` at once (the deferred scan
+    /// will confirm with `VerificationFailed`).
+    pub(crate) fn accept(&self, addr: CellAddr, bytes: &[u8]) -> Result<StoredRecord> {
+        let rec = StoredRecord::decode(bytes)
+            .map_err(|e| Error::TamperDetected(format!("malformed record at {addr}: {e}")))?;
+        if rec.chains.len() != self.chain_cols.len() {
+            return Err(Error::TamperDetected(format!(
+                "record at {addr} has {} chains, table {} has {}",
+                rec.chains.len(),
+                self.name,
+                self.chain_cols.len()
+            )));
+        }
+        Ok(rec)
+    }
+
+    /// Batched verified read of `slots` of `page` as this table's cells
+    /// (the scan's read; each cell is then passed to [`Self::accept`]).
+    pub(crate) fn read_cells(
+        &self,
+        page: u64,
+        slots: &[SlotId],
+        out: &mut ReadBatch,
+    ) -> Result<()> {
+        self.mem.read_page_batch_as(self.owner, page, slots, out)
     }
 
     /// Rewrite a record in place; relocate (and re-index all its chain
@@ -341,6 +374,39 @@ impl Table {
         self.mem.delete(addr)?;
         self.row_count.fetch_sub(1, Ordering::Relaxed);
         Ok(rec.row)
+    }
+
+    /// Delete every row, then every chain sentinel, leaving no live cell
+    /// of the table (how a dropped table is cleared). A sentinel is found
+    /// through the untrusted index and deleted only once it is accepted as
+    /// this table's `⟨⊥, ⊤⟩` record of its chain, i.e. the chain is empty.
+    pub(crate) fn delete_all(self: &Arc<Self>) -> Result<()> {
+        let rows = self.seq_scan().collect_rows()?;
+        let pk_col = self.schema.primary_key();
+        let _g = self.write_lock.lock();
+        for row in rows {
+            self.delete_locked(&row[pk_col])?;
+        }
+        for chain in 0..self.chain_cols.len() {
+            let addr = self.indexes[chain]
+                .find_exact(&ChainKey::NegInf)
+                .ok_or_else(|| {
+                    Error::TamperDetected(format!("index of chain {chain} lost its sentinel"))
+                })?;
+            let rec = self.read_record(addr)?;
+            if rec.key(chain) != &ChainKey::NegInf || rec.nkey(chain) != &ChainKey::PosInf {
+                return Err(Error::TamperDetected(format!(
+                    "chain {chain} of table {} is not empty after deleting every \
+                     row: its sentinel reads (key={}, nKey={})",
+                    self.name,
+                    rec.key(chain),
+                    rec.nkey(chain)
+                )));
+            }
+            self.indexes[chain].remove(&ChainKey::NegInf);
+            self.mem.delete(addr)?;
+        }
+        Ok(())
     }
 
     /// Update the row with primary key `pk` to `new_row`. If no chained

@@ -344,6 +344,13 @@ fn malicious_table(mem: &Arc<VerifiedMemory>) -> (Arc<Table>, Arc<MaliciousIndex
         fn len(&self) -> usize {
             self.0.len()
         }
+        fn next_entries(
+            &self,
+            from: &veridb_storage::ChainKey,
+            limit: usize,
+        ) -> Vec<(veridb_storage::ChainKey, veridb_wrcm::CellAddr)> {
+            self.0.next_entries(from, limit)
+        }
     }
     let mal = Arc::new(MaliciousIndex::new());
     let t = Table::create_with_indexes(
@@ -408,6 +415,245 @@ fn range_scan_omission_via_denying_index_is_detected() {
         .range_scan(0, Bound::Included(int(1)), Bound::Included(int(4)))
         .collect();
     assert!(matches!(result, Err(Error::TamperDetected(_))));
+}
+
+// ---- records bound to their table -----------------------------------------
+
+/// A shareable handle on a [`MaliciousIndex`], forwarding every oracle
+/// call (the prefetch included) so a test keeps the arming handle.
+struct Lying(Arc<MaliciousIndex>);
+impl IndexOracle for Lying {
+    fn find_floor(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
+        self.0.find_floor(k)
+    }
+    fn find_below(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
+        self.0.find_below(k)
+    }
+    fn find_exact(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
+        self.0.find_exact(k)
+    }
+    fn upsert(&self, k: veridb_storage::ChainKey, a: veridb_wrcm::CellAddr) {
+        self.0.upsert(k, a)
+    }
+    fn remove(&self, k: &veridb_storage::ChainKey) {
+        self.0.remove(k)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn next_entries(
+        &self,
+        from: &veridb_storage::ChainKey,
+        limit: usize,
+    ) -> Vec<(veridb_storage::ChainKey, veridb_wrcm::CellAddr)> {
+        self.0.next_entries(from, limit)
+    }
+}
+
+/// Figure 4's quote relation with `count` as a secondary chain.
+fn chained_quote_schema() -> Schema {
+    Schema::new(vec![
+        ColumnDef::new("id", ColumnType::Int),
+        ColumnDef::chained("count", ColumnType::Int),
+        ColumnDef::new("price", ColumnType::Int),
+    ])
+    .unwrap()
+}
+
+/// `victim` over [`chained_quote_schema`], both of its chain indexes
+/// lying on demand, loaded with Figure 4's rows.
+fn chained_victim(mem: &Arc<VerifiedMemory>) -> (Arc<Table>, [Arc<MaliciousIndex>; 2]) {
+    let mal = [
+        Arc::new(MaliciousIndex::new()),
+        Arc::new(MaliciousIndex::new()),
+    ];
+    let t = Table::create_with_indexes(
+        Arc::clone(mem),
+        "victim",
+        chained_quote_schema(),
+        mal.iter()
+            .map(|m| Box::new(Lying(Arc::clone(m))) as Box<dyn IndexOracle>)
+            .collect(),
+    )
+    .unwrap();
+    for (id, count, price) in [(1, 100, 100), (2, 100, 200), (3, 500, 100), (4, 600, 100)] {
+        t.insert(Row::new(vec![int(id), int(count), int(price)]))
+            .unwrap();
+    }
+    (t, mal)
+}
+
+fn ids(rows: &[Row]) -> Vec<i64> {
+    rows.iter().map(|r| r[0].as_i64().unwrap()).collect()
+}
+
+#[test]
+fn an_index_cannot_answer_with_another_tables_record() {
+    let mem = memory();
+    let (victim, mal) = malicious_table(&mem);
+    let other = Table::create(Arc::clone(&mem), "other", quote_schema()).unwrap();
+    // `other`'s only record ⟨2, ⊤, (999, 999)⟩: its key matches the query
+    // and its nKey closes the chain, so every §5.2 condition holds on it.
+    let forged = other
+        .insert(Row::new(vec![int(2), int(999), int(999)]))
+        .unwrap();
+    mal.arm(IndexLie::WrongRecord(forged));
+
+    let err = victim.get_by_pk(&int(2)).unwrap_err();
+    assert!(matches!(err, Error::TamperDetected(_)), "{err:?}");
+    // Without the table binding this scan returned only other's row,
+    // hiding victim's rows 2, 3 and 4 behind its nKey = ⊤.
+    let err = victim
+        .range_scan(0, Bound::Included(int(2)), Bound::Unbounded)
+        .collect_rows()
+        .unwrap_err();
+    assert!(matches!(err, Error::TamperDetected(_)), "{err:?}");
+
+    mal.disarm();
+    assert_eq!(
+        victim.get_by_pk(&int(2)).unwrap().unwrap().values(),
+        &[int(2), int(100), int(200)]
+    );
+    mem.verify_now().unwrap();
+}
+
+#[test]
+fn a_secondary_index_cannot_answer_with_another_tables_record() {
+    let mem = memory();
+    let (victim, mal) = chained_victim(&mem);
+    let other = Table::create(Arc::clone(&mem), "other", chained_quote_schema()).unwrap();
+    // ⟨(50, 2), ⊤⟩ on chain 1 covers the left end of `count >= 100` and
+    // claims nothing follows it.
+    let forged = other
+        .insert(Row::new(vec![int(2), int(50), int(999)]))
+        .unwrap();
+    mal[1].arm(IndexLie::WrongRecord(forged));
+
+    let err = victim.scan_eq(1, &int(100)).collect_rows().unwrap_err();
+    assert!(matches!(err, Error::TamperDetected(_)), "{err:?}");
+    let err = victim
+        .range_scan(1, Bound::Included(int(100)), Bound::Unbounded)
+        .collect_rows()
+        .unwrap_err();
+    assert!(matches!(err, Error::TamperDetected(_)), "{err:?}");
+
+    mal[1].disarm();
+    assert_eq!(
+        ids(&victim.scan_eq(1, &int(100)).collect_rows().unwrap()),
+        [1, 2]
+    );
+    mem.verify_now().unwrap();
+}
+
+/// Every live cell address in the memory, in page order.
+fn live_cells(mem: &VerifiedMemory) -> Vec<veridb_wrcm::CellAddr> {
+    let mut pages = mem.page_ids();
+    pages.sort_unstable();
+    pages
+        .into_iter()
+        .flat_map(|page| {
+            mem.with_page_mut(page, |p| p.live_slot_ids())
+                .unwrap()
+                .into_iter()
+                .map(move |slot| veridb_wrcm::CellAddr { page, slot })
+        })
+        .collect()
+}
+
+#[test]
+fn any_verified_address_a_lying_index_names_yields_the_honest_answer_or_an_alarm() {
+    let mem = memory();
+    let (victim, mal) = chained_victim(&mem);
+    let other = Table::create(Arc::clone(&mem), "other", chained_quote_schema()).unwrap();
+    for (id, count) in [(1, 100), (2, 50), (3, 500), (5, 100)] {
+        other
+            .insert(Row::new(vec![int(id), int(count), int(999)]))
+            .unwrap();
+    }
+    // A cell outside every table — as a spill buffer's would be — whose
+    // bytes claim to be victim's record 2 on both chains.
+    let foreign = veridb_storage::StoredRecord::new(
+        vec![
+            (
+                veridb_storage::ChainKey::val(int(2)),
+                veridb_storage::ChainKey::PosInf,
+            ),
+            (
+                veridb_storage::ChainKey::pair(int(100), int(2)),
+                veridb_storage::ChainKey::PosInf,
+            ),
+        ],
+        Row::new(vec![int(2), int(999), int(999)]),
+    );
+    let scratch = mem.allocate_page();
+    mem.insert_in(scratch, &foreign.encode_to_vec()).unwrap();
+
+    let get = || victim.get_by_pk(&int(2));
+    let range = || {
+        victim
+            .range_scan(0, Bound::Included(int(2)), Bound::Included(int(3)))
+            .collect_rows()
+    };
+    let eq = || victim.scan_eq(1, &int(100)).collect_rows();
+    let (honest_get, honest_range, honest_eq) = (get().unwrap(), range().unwrap(), eq().unwrap());
+    assert_eq!(ids(&honest_range), [2, 3]);
+    assert_eq!(ids(&honest_eq), [1, 2]);
+
+    let cells = live_cells(&mem);
+    assert_eq!(
+        cells.len(),
+        2 * (2 + 4) + 1,
+        "sentinels, rows and the foreign cell"
+    );
+    for addr in cells {
+        for m in &mal {
+            m.arm(IndexLie::WrongRecord(addr));
+        }
+        match get() {
+            Ok(row) => assert_eq!(row, honest_get, "get_by_pk via {addr}"),
+            Err(e) => assert!(matches!(e, Error::TamperDetected(_)), "{addr}: {e:?}"),
+        }
+        match range() {
+            Ok(rows) => assert_eq!(rows, honest_range, "range_scan via {addr}"),
+            Err(e) => assert!(matches!(e, Error::TamperDetected(_)), "{addr}: {e:?}"),
+        }
+        match eq() {
+            Ok(rows) => assert_eq!(rows, honest_eq, "scan_eq via {addr}"),
+            Err(e) => assert!(matches!(e, Error::TamperDetected(_)), "{addr}: {e:?}"),
+        }
+        for m in &mal {
+            m.disarm();
+        }
+    }
+    mem.verify_now().unwrap();
+}
+
+#[test]
+fn a_forged_record_of_the_wrong_shape_is_tampering_not_a_panic() {
+    let mem = memory();
+    let (victim, _mal) = chained_victim(&mem);
+    let addr = victim
+        .insert(Row::new(vec![int(9), int(700), int(1)]))
+        .unwrap();
+    // The host rewrites the cell as a well-formed record with one chain
+    // where the table has two.
+    let short = veridb_storage::StoredRecord::new(
+        vec![(
+            veridb_storage::ChainKey::val(int(9)),
+            veridb_storage::ChainKey::PosInf,
+        )],
+        Row::new(vec![int(9), int(700), int(1)]),
+    );
+    veridb_wrcm::tamper::overwrite_cell(&mem, addr, &short.encode_to_vec()).unwrap();
+    for scan in [
+        victim.range_scan(1, Bound::Included(int(650)), Bound::Unbounded),
+        victim.seq_scan(),
+    ] {
+        let err = scan.collect_rows().unwrap_err();
+        assert!(matches!(err, Error::TamperDetected(_)), "{err:?}");
+    }
+    let err = victim.get_by_pk(&int(9)).unwrap_err();
+    assert!(matches!(err, Error::TamperDetected(_)), "{err:?}");
 }
 
 // ---- concurrency ---------------------------------------------------------

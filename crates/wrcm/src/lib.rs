@@ -54,7 +54,7 @@ pub mod tamper;
 pub mod verifier;
 
 pub use digest::SetDigest;
-pub use memory::{CellAddr, ReadBatch, VerifiedMemory, VerifyReport};
+pub use memory::{CellAddr, PageOwner, ReadBatch, VerifiedMemory, VerifyReport};
 pub use page::{RawPage, SlotId, PAGE_HEADER_BYTES};
 pub use prf::PrfEngine;
 pub use rsws::{PartitionState, RswsPair};

@@ -74,7 +74,7 @@ pub struct VerifyReport {
     pub fingerprint: [u8; 32],
 }
 
-/// Reusable scratch buffer for [`VerifiedMemory::read_page_batch`]: cell
+/// Reusable scratch buffer for [`VerifiedMemory::read_page_batch_as`]: cell
 /// payloads are packed back-to-back into one flat allocation instead of
 /// one fresh `Vec<u8>` per cell, and the buffer's capacity survives across
 /// batches. Entries appear in request order, a repeated slot once at its
@@ -130,6 +130,19 @@ impl ReadBatch {
     }
 }
 
+/// Whom a page was handed out to. The enclave records it when
+/// [`VerifiedMemory::allocate_page_for`] hands the page out, and every
+/// protected read names the owner it expects: a read of another owner's
+/// page is refused as tampering. The memory checker proves that a cell is
+/// fresh; the owner is what proves whose cell it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PageOwner(u64);
+
+impl PageOwner {
+    /// The owner of pages from [`VerifiedMemory::allocate_page`].
+    pub const NONE: PageOwner = PageOwner(0);
+}
+
 /// Registry entry for one page: the untrusted bytes plus the scan state
 /// protected ops and the verifier coordinate through without the
 /// partition mutex.
@@ -150,6 +163,8 @@ pub struct VerifiedMemory {
     /// state alongside.
     pages: RwLock<HashMap<u64, PageEntry>>,
     next_page_id: AtomicU64,
+    /// Next [`PageOwner`] id to mint; ids are never reused.
+    next_owner: AtomicU64,
     /// Ids of released (empty) pages available for reuse. Pages stay
     /// registered — deregistering would strand their enclave metadata and
     /// tombstone digests — they are simply handed out again by
@@ -199,6 +214,7 @@ impl VerifiedMemory {
             parts,
             pages: RwLock::new(HashMap::new()),
             next_page_id: AtomicU64::new(1),
+            next_owner: AtomicU64::new(1),
             free_pages: Mutex::new(VecDeque::new()),
             metrics,
             ops: AtomicU64::new(0),
@@ -231,6 +247,11 @@ impl VerifiedMemory {
     /// creates no threads.
     pub fn set_workers(&self, workers: usize) {
         self.workers.store(workers.max(1), Ordering::Relaxed);
+    }
+
+    /// Mint a page owner that no earlier call on this memory returned.
+    pub fn new_owner(&self) -> PageOwner {
+        PageOwner(self.next_owner.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Number of RSWS partitions.
@@ -342,10 +363,16 @@ impl VerifiedMemory {
 
     // ---- page lifecycle ---------------------------------------------------
 
-    /// Register a fresh, empty page (the storage layer's `Register`
-    /// interface, §4.2), or hand back a previously released one. Returns
-    /// its id.
+    /// [`Self::allocate_page_for`] for [`PageOwner::NONE`].
     pub fn allocate_page(&self) -> u64 {
+        self.allocate_page_for(PageOwner::NONE)
+    }
+
+    /// Register a fresh, empty page (the storage layer's `Register`
+    /// interface, §4.2), or hand back a previously released one, and
+    /// record `owner` as the only owner whose reads it serves. Returns
+    /// its id.
+    pub fn allocate_page_for(&self, owner: PageOwner) -> u64 {
         // Pop through a call so the queue lock is released before the body.
         let pop_free = || self.free_pages.lock().pop_front();
         while let Some(id) = pop_free() {
@@ -355,6 +382,7 @@ impl VerifiedMemory {
             let Ok(entry) = self.get_entry(id) else {
                 continue;
             };
+            entry.scan.set_owner(owner.0);
             entry.scan.unmark_freed();
             self.metrics.inc(Metric::PagesReused);
             return id;
@@ -362,6 +390,7 @@ impl VerifiedMemory {
         let id = self.next_page_id.fetch_add(1, Ordering::Relaxed);
         let raw = Arc::new(Mutex::new(RawPage::new(id, self.cfg.page_size)));
         let scan = Arc::new(PageScanState::new(0));
+        scan.set_owner(owner.0);
         self.pages.write().insert(
             id,
             PageEntry {
@@ -441,37 +470,29 @@ impl VerifiedMemory {
         self.metrics.add(Metric::SingletonElements, b.singletons);
     }
 
-    /// Protected read: returns the cell's data, folding the read into
-    /// `h(RS)` and the virtual write-back (fresh timestamp) into `h(WS)`.
+    /// Protected read of one cell on a page from [`Self::allocate_page`]:
+    /// [`Self::read_as`] for [`PageOwner::NONE`].
     pub fn read(&self, addr: CellAddr) -> Result<Vec<u8>> {
-        let entry = self.get_entry(addr.page)?;
-        let mut page = entry.raw.lock();
+        self.read_as(PageOwner::NONE, addr)
+    }
 
-        if !self.cfg.verify_rsws {
-            let (data, _) = page.read(addr.slot)?;
-            let out = data.to_vec();
-            drop(page);
-            self.metrics.inc(Metric::ProtectedReads);
-            self.op_tick();
-            return Ok(out);
+    /// Protected read of one cell of a page handed to `owner`: returns the
+    /// cell's data, folding the read into `h(RS)` and the virtual
+    /// write-back (fresh timestamp) into `h(WS)`. This is the one-slot case
+    /// of the batched body ([`Self::read_page_batch_as`]); a dead slot is
+    /// `SlotNotFound`.
+    pub fn read_as(&self, owner: PageOwner, addr: CellAddr) -> Result<Vec<u8>> {
+        let mut out = ReadBatch::new();
+        self.read_cells(owner, addr.page, &[addr.slot], &mut out)?;
+        if out.is_empty() {
+            return Err(Error::SlotNotFound {
+                page: addr.page,
+                slot: addr.slot,
+            });
         }
-
-        let data = page.read(addr.slot)?.0.to_vec();
-        let mut b = DeltaBucket::new(1);
-        let ts = self.enclave.next_timestamp();
-        b.restamp(&self.prf, &mut page, addr.page, [addr.slot], ts)?;
-        if self.cfg.verify_metadata {
-            // Algorithm 3's Get reads the record pointer first.
-            let ptr = page.slot_entry_bytes(addr.slot);
-            let ts = self.enclave.next_timestamp();
-            b.meta(&self.prf, &mut page, addr.page, addr.slot, Some(ptr), ts);
-        }
-        self.commit(&entry.scan, addr.page, &b);
-        self.metrics.inc(Metric::VerifiedReads);
         self.metrics.inc(Metric::ProtectedReads);
-        drop(page);
-        self.op_tick();
-        Ok(data)
+        // One cell read: the flat buffer holds exactly its payload.
+        Ok(out.buf)
     }
 
     /// Protected overwrite of an existing cell.
@@ -599,11 +620,23 @@ impl VerifiedMemory {
 
     // ---- batched protected reads ------------------------------------------
 
+    /// Batched protected read of a page from [`Self::allocate_page`]:
+    /// [`Self::read_page_batch_as`] for [`PageOwner::NONE`].
+    pub fn read_page_batch(
+        &self,
+        page_id: u64,
+        slots: &[SlotId],
+        out: &mut ReadBatch,
+    ) -> Result<()> {
+        self.read_page_batch_as(PageOwner::NONE, page_id, slots, out)
+    }
+
     /// Batched protected read: read up to `slots.len()` live cells of one
-    /// page into `out`, doing for each what [`Self::read`] does — consume
-    /// the cell's element under its old timestamp into `h(RS)` and insert
-    /// it again under a fresh one into `h(WS)` (Algorithm 1, per cell).
-    /// The fixed costs are paid once per batch instead of once per cell:
+    /// page handed to `owner` into `out`, doing for each what
+    /// [`Self::read_as`] does — consume the cell's element under its old
+    /// timestamp into `h(RS)` and insert it again under a fresh one into
+    /// `h(WS)` (Algorithm 1, per cell). The fixed costs are paid once per
+    /// batch instead of once per cell:
     ///
     /// - the page is looked up and locked once;
     /// - payloads land in `out`'s flat scratch buffer (no per-cell `Vec`);
@@ -618,45 +651,69 @@ impl VerifiedMemory {
     /// `out`'s slot ids against the request. A duplicated slot is served
     /// and folded once, so a batch of k distinct live cells costs exactly
     /// 2k PRF evaluations (4k with metadata).
-    pub fn read_page_batch(
+    pub fn read_page_batch_as(
         &self,
+        owner: PageOwner,
+        page_id: u64,
+        slots: &[SlotId],
+        out: &mut ReadBatch,
+    ) -> Result<()> {
+        self.read_cells(owner, page_id, slots, out)?;
+        self.metrics.add(Metric::BatchedReadCells, out.len() as u64);
+        Ok(())
+    }
+
+    /// The one protected-read body. A page not handed to `owner` is
+    /// refused as tampering before its lock is taken, so a refused read
+    /// consumes and restamps nothing. Otherwise the live cells among
+    /// `slots` are copied into `out` under the page lock, and each one's
+    /// consume and write-back is tagged and folded with one commit. A slot
+    /// entry the page cannot resolve (not merely dead) fails the whole
+    /// read, also before anything is folded.
+    fn read_cells(
+        &self,
+        owner: PageOwner,
         page_id: u64,
         slots: &[SlotId],
         out: &mut ReadBatch,
     ) -> Result<()> {
         out.clear();
         let entry = self.get_entry(page_id)?;
+        let held = entry.scan.owner();
+        if held != owner.0 {
+            return Err(Error::TamperDetected(format!(
+                "page {page_id} was handed to owner {held}, not to owner {} that read it",
+                owner.0
+            )));
+        }
         let mut page = entry.raw.lock();
         for &slot in slots {
             if out.cells.iter().any(|c| c.0 == slot) {
                 continue;
             }
-            if let Ok((data, _)) = page.read(slot) {
-                out.push(slot, data);
+            match page.read(slot) {
+                Ok((data, _)) => out.push(slot, data),
+                Err(Error::SlotNotFound { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
         let n = out.len() as u64;
-        if !self.cfg.verify_rsws || n == 0 {
-            drop(page);
-            self.metrics.add(Metric::BatchedReadCells, n);
-            self.op_tick_n(slots.len() as u64);
-            return Ok(());
-        }
-
-        let mut b = DeltaBucket::new(n);
-        let ts = self.enclave.next_timestamp_block(n);
-        let served = out.cells.iter().map(|c| c.0);
-        b.restamp(&self.prf, &mut page, page_id, served, ts)?;
-        if self.cfg.verify_metadata {
+        if self.cfg.verify_rsws && n > 0 {
+            let mut b = DeltaBucket::new(n);
             let ts = self.enclave.next_timestamp_block(n);
-            for (&(slot, ..), ts) in out.cells.iter().zip(ts..) {
-                let ptr = page.slot_entry_bytes(slot);
-                b.meta(&self.prf, &mut page, page_id, slot, Some(ptr), ts);
+            let served = out.cells.iter().map(|c| c.0);
+            b.restamp(&self.prf, &mut page, page_id, served, ts)?;
+            if self.cfg.verify_metadata {
+                // Algorithm 3's Get reads the record pointer too.
+                let ts = self.enclave.next_timestamp_block(n);
+                for (&(slot, ..), ts) in out.cells.iter().zip(ts..) {
+                    let ptr = page.slot_entry_bytes(slot);
+                    b.meta(&self.prf, &mut page, page_id, slot, Some(ptr), ts);
+                }
             }
+            self.commit(&entry.scan, page_id, &b);
+            self.metrics.add(Metric::VerifiedReads, n);
         }
-        self.commit(&entry.scan, page_id, &b);
-        self.metrics.add(Metric::VerifiedReads, n);
-        self.metrics.add(Metric::BatchedReadCells, n);
         drop(page);
         self.op_tick_n(slots.len() as u64);
         Ok(())

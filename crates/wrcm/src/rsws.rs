@@ -60,6 +60,10 @@ pub struct PageScanState {
     /// Whether the page currently sits on the free list (guards against
     /// double-release pushing a duplicate id).
     freed: AtomicBool,
+    /// The [`crate::PageOwner`] id the page was last handed out to; every
+    /// protected read names the owner it expects and is refused on a
+    /// mismatch.
+    owner: AtomicU64,
 }
 
 impl PageScanState {
@@ -69,7 +73,18 @@ impl PageScanState {
             scan_epoch: AtomicU64::new(epoch),
             touched: AtomicBool::new(false),
             freed: AtomicBool::new(false),
+            owner: AtomicU64::new(0),
         }
+    }
+
+    /// The owner id the page was last handed out to.
+    pub fn owner(&self) -> u64 {
+        self.owner.load(Ordering::Acquire)
+    }
+
+    /// Record the owner a page is handed out to (allocation or reuse).
+    pub fn set_owner(&self, owner: u64) {
+        self.owner.store(owner, Ordering::Release);
     }
 
     /// The page's scan epoch (digest-pair routing key).
