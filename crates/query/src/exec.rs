@@ -13,7 +13,7 @@
 
 use crate::ast::{AggFunc, Expr};
 use crate::expr::{cmp_values, eval, passes};
-use crate::planner::{AccessPath, PhysicalPlan};
+use crate::planner::{AccessPath, BuildSide, PhysicalPlan};
 use crate::spill::{ExecContext, SpilledRows};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,6 +43,7 @@ pub fn open_ctx(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operat
             table,
             access,
             residual,
+            ..
         } => (
             OperatorKind::Scan,
             Box::new(ScanOp::new(table, access, residual.clone())?),
@@ -83,17 +84,25 @@ pub fn open_ctx(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operat
             right,
             left_key,
             right_key,
+            build,
             residual,
-        } => (
-            OperatorKind::HashJoin,
-            Box::new(HashJoinOp::new(
-                open_ctx(left, ctx)?,
-                open_ctx(right, ctx)?,
-                *left_key,
-                *right_key,
-                residual.clone(),
-            )),
-        ),
+        } => {
+            let (build_op, probe) = build.split(open_ctx(left, ctx)?, open_ctx(right, ctx)?);
+            let (build_key, probe_key) = build.split(*left_key, *right_key);
+            (
+                OperatorKind::HashJoin,
+                Box::new(HashJoinOp {
+                    build_op: Some(build_op),
+                    probe,
+                    build_key,
+                    probe_key,
+                    build: *build,
+                    residual: residual.clone(),
+                    table: HashMap::new(),
+                    pending: Vec::new(),
+                }),
+            )
+        }
         // Parallel partitioned hash join (see `parallel`): build-side
         // morsels bucket rows by key hash, per-partition tables build
         // concurrently, probe runs in parallel — output byte-identical to
@@ -103,15 +112,15 @@ pub fn open_ctx(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operat
             right,
             left_key,
             right_key,
+            build,
             residual,
             workers,
         } => (
             OperatorKind::PartitionedJoin,
             Box::new(crate::parallel::PartitionedJoinOp::new(
-                left,
-                right,
-                *left_key,
-                *right_key,
+                (left, *left_key),
+                (right, *right_key),
+                *build,
                 residual.clone(),
                 *workers,
                 ctx,
@@ -403,74 +412,73 @@ impl Operator for IndexNlJoinOp {
     }
 }
 
+/// Serial hash join: the build input is hashed on first pull (NULL keys
+/// dropped, per inner equi-join semantics), then each probe row emits its
+/// matches in build order.
 struct HashJoinOp {
-    left: Box<dyn Operator>,
-    right: Option<Box<dyn Operator>>,
-    left_key: usize,
-    right_key: usize,
+    /// The build input, until it has been hashed.
+    build_op: Option<Box<dyn Operator>>,
+    probe: Box<dyn Operator>,
+    build_key: usize,
+    probe_key: usize,
+    build: BuildSide,
     residual: Option<Expr>,
     table: HashMap<Value, Vec<Row>>,
+    /// Joined rows of the current probe row, last first.
     pending: Vec<Row>,
 }
 
-impl HashJoinOp {
-    fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        left_key: usize,
-        right_key: usize,
-        residual: Option<Expr>,
-    ) -> Self {
-        HashJoinOp {
-            left,
-            right: Some(right),
-            left_key,
-            right_key,
-            residual,
-            table: HashMap::new(),
-            pending: Vec::new(),
+/// Append the joins of probe row `prow` with its build-side `matches`
+/// that pass `residual`, in build order. The joined row is `left ⧺ right`
+/// whichever side was built, so the build side never changes a column.
+pub(crate) fn join_matches(
+    prow: &Row,
+    matches: &[Row],
+    build: BuildSide,
+    residual: &Option<Expr>,
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    for brow in matches {
+        let joined = match build {
+            BuildSide::Left => brow.joined(prow),
+            BuildSide::Right => prow.joined(brow),
+        };
+        let keep = match residual {
+            Some(p) => passes(p, &joined)?,
+            None => true,
+        };
+        if keep {
+            out.push(joined);
         }
     }
-
-    fn build(&mut self) -> Result<()> {
-        if let Some(mut right) = self.right.take() {
-            while let Some(row) = right.next()? {
-                let k = row[self.right_key].clone();
-                if k.is_null() {
-                    continue;
-                }
-                self.table.entry(k).or_default().push(row);
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 impl Operator for HashJoinOp {
     fn next(&mut self) -> Result<Option<Row>> {
-        self.build()?;
+        if let Some(mut input) = self.build_op.take() {
+            while let Some(row) = input.next()? {
+                let k = row[self.build_key].clone();
+                if !k.is_null() {
+                    self.table.entry(k).or_default().push(row);
+                }
+            }
+        }
         loop {
             if let Some(row) = self.pending.pop() {
                 return Ok(Some(row));
             }
-            let Some(lrow) = self.left.next()? else {
+            let Some(prow) = self.probe.next()? else {
                 return Ok(None);
             };
-            let k = &lrow[self.left_key];
-            if k.is_null() {
-                continue;
-            }
-            if let Some(matches) = self.table.get(k) {
-                for rrow in matches {
-                    let joined = lrow.joined(rrow);
-                    let keep = match &self.residual {
-                        Some(p) => passes(p, &joined)?,
-                        None => true,
-                    };
-                    if keep {
-                        self.pending.push(joined);
-                    }
-                }
+            if let Some(matches) = self.table.get(&prow[self.probe_key]) {
+                join_matches(
+                    &prow,
+                    matches,
+                    self.build,
+                    &self.residual,
+                    &mut self.pending,
+                )?;
                 self.pending.reverse();
             }
         }

@@ -43,16 +43,17 @@
 //!   every key's row list preserves the serial build's insertion order),
 //!   the per-partition hash tables are built concurrently, and the probe
 //!   side runs in parallel with outputs merged in morsel/chunk order —
-//!   byte-identical to the serial [`HashJoin`](PhysicalPlan::HashJoin).
+//!   byte-identical to the serial [`HashJoin`](PhysicalPlan::HashJoin),
+//!   whichever input the planner chose to build on.
 //! - `parallel_sort`: contiguous input chunks are key-precomputed and
 //!   stably sorted as independent runs (spill-capable via
 //!   [`SpilledRows`]), then merged through a tournament tree whose ties
 //!   break on run index — reproducing a global stable sort exactly.
 
 use crate::ast::{AggFunc, Expr};
-use crate::exec::{open_ctx, GroupedPartial, Operator};
-use crate::expr::{eval, passes};
-use crate::planner::{AccessPath, PhysicalPlan};
+use crate::exec::{join_matches, open_ctx, GroupedPartial, Operator};
+use crate::expr::eval;
+use crate::planner::{AccessPath, BuildSide, PhysicalPlan};
 use crate::spill::{ExecContext, SpilledRows};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -121,6 +122,7 @@ fn with_driver_range(plan: &PhysicalPlan, lo: &Bound<Value>, hi: &Bound<Value>) 
             table,
             access,
             residual,
+            est_rows,
         } => {
             let chain = match access {
                 AccessPath::Full => 0,
@@ -137,6 +139,7 @@ fn with_driver_range(plan: &PhysicalPlan, lo: &Bound<Value>, hi: &Bound<Value>) 
                     hi: hi.clone(),
                 },
                 residual: residual.clone(),
+                est_rows: *est_rows,
             }
         }
         PhysicalPlan::Filter { input, pred } => PhysicalPlan::Filter {
@@ -457,49 +460,42 @@ pub(crate) fn build_partition_tables(
     })
 }
 
-/// Probe one left row against the partition tables, appending joined rows
+/// Probe one row against the partition tables, appending joined rows
 /// that pass the residual. Match order is the per-key build order, the
 /// same order the serial HashJoin emits.
 fn probe_one(
-    lrow: &Row,
+    prow: &Row,
     tables: &[PartTable],
-    left_key: usize,
+    probe_key: usize,
+    build: BuildSide,
     residual: &Option<Expr>,
     out: &mut Vec<Row>,
 ) -> Result<()> {
-    let k = &lrow[left_key];
+    let k = &prow[probe_key];
     if k.is_null() {
         return Ok(());
     }
     if let Some(matches) = tables[partition_of(k)].get(k) {
-        for rrow in matches {
-            let joined = lrow.joined(rrow);
-            let keep = match residual {
-                Some(p) => passes(p, &joined)?,
-                None => true,
-            };
-            if keep {
-                out.push(joined);
-            }
-        }
+        join_matches(prow, matches, build, residual, out)?;
     }
     Ok(())
 }
 
 /// Parallel partitioned hash join (see [`PhysicalPlan::PartitionedJoin`]).
 ///
-/// Build: if the right input is morsel-partitionable its morsels run on
+/// Build: if the build input is morsel-partitionable its morsels run on
 /// the pool, each emitting partition-hashed buckets; otherwise the input
 /// is executed once (itself possibly parallel inside) and bucketed. The
 /// per-partition tables are then built concurrently. Probe: partitionable
-/// left inputs probe per morsel; others are materialized and probed in
+/// probe inputs probe per morsel; others are materialized and probed in
 /// fixed-size chunks. Both merge outputs in morsel/chunk order, so the
 /// result is byte-identical to the serial HashJoin for any pool size.
 pub(crate) struct PartitionedJoinOp {
-    left: PhysicalPlan,
-    right: PhysicalPlan,
-    left_key: usize,
-    right_key: usize,
+    build_plan: PhysicalPlan,
+    probe_plan: PhysicalPlan,
+    build_key: usize,
+    probe_key: usize,
+    build: BuildSide,
     residual: Option<Expr>,
     planned_workers: usize,
     ctx: ExecContext,
@@ -507,20 +503,22 @@ pub(crate) struct PartitionedJoinOp {
 }
 
 impl PartitionedJoinOp {
+    /// `left` and `right` are each an input with its key index.
     pub(crate) fn new(
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-        left_key: usize,
-        right_key: usize,
+        left: (&PhysicalPlan, usize),
+        right: (&PhysicalPlan, usize),
+        build: BuildSide,
         residual: Option<Expr>,
         planned_workers: usize,
         ctx: &ExecContext,
     ) -> Self {
+        let ((build_plan, build_key), (probe_plan, probe_key)) = build.split(left, right);
         PartitionedJoinOp {
-            left: left.clone(),
-            right: right.clone(),
-            left_key,
-            right_key,
+            build_plan: build_plan.clone(),
+            probe_plan: probe_plan.clone(),
+            build_key,
+            probe_key,
+            build,
             residual,
             planned_workers,
             ctx: ctx.clone(),
@@ -530,11 +528,11 @@ impl PartitionedJoinOp {
 
     fn materialize(&self) -> Result<Vec<Row>> {
         let pool = pool_size(&self.ctx, self.planned_workers);
-        let right_key = self.right_key;
+        let build_key = self.build_key;
         // Build phase: partition-hashed buckets per morsel, in morsel
         // order.
-        let morsel_buckets: Vec<Vec<Vec<Row>>> = if driver_scan(&self.right).is_some() {
-            let plans = morsel_plans(&self.right);
+        let morsel_buckets: Vec<Vec<Vec<Row>>> = if driver_scan(&self.build_plan).is_some() {
+            let plans = morsel_plans(&self.build_plan);
             run_morsels(&plans, pool, &self.ctx, |p, c| {
                 let mut op = open_ctx(p, c)?;
                 let mut rows = Vec::new();
@@ -542,48 +540,48 @@ impl PartitionedJoinOp {
                     rows.push(r);
                 }
                 let n = rows.len() as u64;
-                Ok((bucket_rows(rows, right_key), n))
+                Ok((bucket_rows(rows, build_key), n))
             })?
         } else {
-            let mut op = open_ctx(&self.right, &self.ctx)?;
+            let mut op = open_ctx(&self.build_plan, &self.ctx)?;
             let mut rows = Vec::new();
             while let Some(r) = op.next()? {
                 rows.push(r);
             }
-            vec![bucket_rows(rows, right_key)]
+            vec![bucket_rows(rows, build_key)]
         };
-        let tables = build_partition_tables(morsel_buckets, right_key, pool, &self.ctx.metrics)?;
-        // Probe phase: outputs merged in morsel/chunk order = left input
+        let tables = build_partition_tables(morsel_buckets, build_key, pool, &self.ctx.metrics)?;
+        // Probe phase: outputs merged in morsel/chunk order = probe input
         // order.
-        let left_key = self.left_key;
+        let (probe_key, build) = (self.probe_key, self.build);
         let residual = &self.residual;
         let tables = &tables;
-        let per_chunk: Vec<Vec<Row>> = if driver_scan(&self.left).is_some() {
-            let plans = morsel_plans(&self.left);
+        let per_chunk: Vec<Vec<Row>> = if driver_scan(&self.probe_plan).is_some() {
+            let plans = morsel_plans(&self.probe_plan);
             run_morsels(&plans, pool, &self.ctx, |p, c| {
                 let mut op = open_ctx(p, c)?;
                 let mut out = Vec::new();
                 let mut scanned: u64 = 0;
-                while let Some(lrow) = op.next()? {
+                while let Some(prow) = op.next()? {
                     scanned += 1;
-                    probe_one(&lrow, tables, left_key, residual, &mut out)?;
+                    probe_one(&prow, tables, probe_key, build, residual, &mut out)?;
                 }
                 Ok((out, scanned))
             })?
         } else {
-            let mut op = open_ctx(&self.left, &self.ctx)?;
-            let mut lrows = Vec::new();
+            let mut op = open_ctx(&self.probe_plan, &self.ctx)?;
+            let mut prows = Vec::new();
             while let Some(r) = op.next()? {
-                lrows.push(r);
+                prows.push(r);
             }
-            let chunks = lrows.len().div_ceil(PROBE_CHUNK_ROWS).max(1);
-            let lrows = &lrows;
+            let chunks = prows.len().div_ceil(PROBE_CHUNK_ROWS).max(1);
+            let prows = &prows;
             run_indexed(chunks, pool, &self.ctx.metrics, |ci| {
                 let lo = ci * PROBE_CHUNK_ROWS;
-                let hi = ((ci + 1) * PROBE_CHUNK_ROWS).min(lrows.len());
+                let hi = ((ci + 1) * PROBE_CHUNK_ROWS).min(prows.len());
                 let mut out = Vec::new();
-                for lrow in &lrows[lo..hi] {
-                    probe_one(lrow, tables, left_key, residual, &mut out)?;
+                for prow in &prows[lo..hi] {
+                    probe_one(prow, tables, probe_key, build, residual, &mut out)?;
                 }
                 Ok((out, (hi - lo) as u64))
             })?
@@ -887,12 +885,13 @@ mod tests {
             .collect()
     }
 
-    /// Serial hash-join reference: build right in stream order, probe
-    /// left in stream order, emit matches in per-key insertion order —
-    /// the exact semantics of `exec::HashJoinOp`.
-    fn serial_hash_join(left: &[Row], right: &[Row]) -> Vec<Row> {
+    /// Serial hash-join reference: build one side in stream order, probe
+    /// the other in stream order, emit matches in per-key insertion order
+    /// as `left ⧺ right` — the exact semantics of `exec::HashJoinOp`.
+    fn serial_hash_join(left: &[Row], right: &[Row], build: BuildSide) -> Vec<Row> {
+        let (built, probed) = build.split(left, right);
         let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-        for row in right {
+        for row in built {
             let k = row[0].clone();
             if k.is_null() {
                 continue;
@@ -900,14 +899,17 @@ mod tests {
             table.entry(k).or_default().push(row.clone());
         }
         let mut out = Vec::new();
-        for lrow in left {
-            let k = &lrow[0];
+        for prow in probed {
+            let k = &prow[0];
             if k.is_null() {
                 continue;
             }
             if let Some(matches) = table.get(k) {
-                for rrow in matches {
-                    out.push(lrow.joined(rrow));
+                for brow in matches {
+                    out.push(match build {
+                        BuildSide::Left => brow.joined(prow),
+                        BuildSide::Right => prow.joined(brow),
+                    });
                 }
             }
         }
@@ -917,8 +919,9 @@ mod tests {
     /// Partitioned build commutativity: bucketing the build rows by
     /// an arbitrary morsel split, building per-partition tables on a
     /// pool, and probing in chunks must reproduce the serial hash
-    /// join byte-for-byte — for any split point, pool size, and key
-    /// distribution (small key domain forces heavy duplicates).
+    /// join byte-for-byte — for either build side, any split point, pool
+    /// size, and key distribution (small key domain forces heavy
+    /// duplicates).
     #[test]
     fn partitioned_join_build_matches_serial() {
         check(256, |rng| {
@@ -926,17 +929,23 @@ mod tests {
             let right = rng.vec(0..80, |r| (r.gen_range(0i64..16), r.gen_range(0i64..1000)));
             let split = rng.gen_range(0usize..80);
             let pool = rng.gen_range(1usize..5);
+            let build = if rng.gen_bool(0.5) {
+                BuildSide::Left
+            } else {
+                BuildSide::Right
+            };
             let left = int_rows(&left);
             let right = int_rows(&right);
-            let expect = serial_hash_join(&left, &right);
+            let expect = serial_hash_join(&left, &right, build);
 
-            let split = split.min(right.len());
-            let (a, b) = right.split_at(split);
+            let (built, probed) = build.split(&left, &right);
+            let split = split.min(built.len());
+            let (a, b) = built.split_at(split);
             let morsel_buckets = vec![bucket_rows(a.to_vec(), 0), bucket_rows(b.to_vec(), 0)];
             let tables = build_partition_tables(morsel_buckets, 0, pool, &Metrics::new()).unwrap();
             let mut got = Vec::new();
-            for lrow in &left {
-                probe_one(lrow, &tables, 0, &None, &mut got).unwrap();
+            for prow in probed {
+                probe_one(prow, &tables, 0, build, &None, &mut got).unwrap();
             }
             assert_eq!(got, expect);
         });

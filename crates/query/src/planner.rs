@@ -16,16 +16,38 @@
 //!   paper's Example 5.4), a merge join when both inputs arrive sorted on
 //!   their join columns, a hash join otherwise,
 //! - everything else stays as residual filters.
+//!
+//! Two choices read row estimates built from untrusted statistics (the
+//! chain indexes' key bounds and `Table::row_count`): a near-full range
+//! on a secondary chain becomes a chain-0 scan with the range as a
+//! residual, and a hash join builds on its smaller input. Every plan on
+//! offer is verified at its leaves (§5.4), so a wrong estimate can only
+//! pick a slower plan, never change an answer.
 
 use crate::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
 use crate::engine::{PlanOptions, PreferredJoin};
 use crate::parallel::driver_scan;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::ops::Bound;
 use std::sync::Arc;
 use veridb_common::{Error, Result, Value};
 use veridb_storage::{Catalog, Table};
+
+/// Above this estimated fraction of a table's rows, a range on a
+/// secondary chain is read as a chain-0 scan with the range as a residual.
+///
+/// Walking a range on chain `c` costs about `f · N · cost_c` and a chain-0
+/// scan `N · cost_0`, so the crossover is `f* = cost_0 / cost_1`. Measured
+/// per `lineitem` row (µs, baseline–VeriDB, in process on a 2-core x86-64
+/// VM with one worker): `COUNT(*)` over the whole table on chain 0 costs
+/// 0.69–0.77 at 60k rows and 1.14–1.30 at 600k; the same count under a
+/// range on chain 1 costs 1.01–1.23 and 2.44–2.56. That puts `f*` at
+/// 0.63–0.68 at 60k and 0.47–0.51 at 600k. Two thirds
+/// is the 60k crossover: it flips TPC-H Q1's 96% range, keeps Q3's 54%
+/// `lineitem` range (which a 0.5 threshold would flip, slower at 60k) and
+/// Q6's 14%, and at 600k it only forgoes the gain on ranges of 0.5–0.67.
+const FULL_SCAN_CROSSOVER: f64 = 2.0 / 3.0;
 
 /// How a scan reaches its rows.
 #[derive(Debug, Clone)]
@@ -62,6 +84,8 @@ pub enum PhysicalPlan {
         access: AccessPath,
         /// Residual predicate over the table's own columns (local refs).
         residual: Option<Expr>,
+        /// Estimated output rows (see [`PhysicalPlan::est_rows`]).
+        est_rows: f64,
     },
     /// Filter over global-row input.
     Filter {
@@ -93,16 +117,20 @@ pub enum PhysicalPlan {
         /// Residual predicate over the concatenated row.
         residual: Option<Expr>,
     },
-    /// Hash join on one equi-key pair.
+    /// Hash join on one equi-key pair. Output rows are `left ⧺ right`
+    /// and arrive in the probe input's order, each probe row's matches in
+    /// the build input's order.
     HashJoin {
-        /// Left (probe) input.
+        /// Left input.
         left: Box<PhysicalPlan>,
-        /// Right (build) input.
+        /// Right input.
         right: Box<PhysicalPlan>,
         /// Key index within the left row.
         left_key: usize,
         /// Key index within the right row.
         right_key: usize,
+        /// The input hashed into the table; the other is probed.
+        build: BuildSide,
         /// Residual predicate over the concatenated row.
         residual: Option<Expr>,
     },
@@ -186,22 +214,45 @@ pub enum PhysicalPlan {
     /// rows are merged in morsel/chunk order, making the result
     /// byte-identical to the serial HashJoin.
     PartitionedJoin {
-        /// Left (probe) input. A morsel-partitionable region is kept
-        /// unwrapped (the operator morselizes it itself); anything else
-        /// is materialized and probed in fixed chunks.
+        /// Left input. A morsel-partitionable region is kept unwrapped
+        /// (the operator morselizes it itself); anything else is
+        /// materialized (and, on the probe side, probed in fixed chunks).
         left: Box<PhysicalPlan>,
-        /// Right (build) input, same convention as `left`.
+        /// Right input, same convention as `left`.
         right: Box<PhysicalPlan>,
         /// Key index within the left row.
         left_key: usize,
         /// Key index within the right row.
         right_key: usize,
+        /// The input hashed into the partition tables; the other is probed.
+        build: BuildSide,
         /// Residual predicate over the concatenated row.
         residual: Option<Expr>,
         /// Worker pool size this join was planned for (`0` = inherit from
         /// the execution context at open time).
         workers: usize,
     },
+}
+
+/// Which input of a hash join is hashed into the table. The other input
+/// is probed, and its order is the join's output order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildSide {
+    /// Hash the left input, probe with the right.
+    Left,
+    /// Hash the right input, probe with the left.
+    Right,
+}
+
+impl BuildSide {
+    /// `(build, probe)`: whichever of a join's `(left, right)` this side
+    /// names, then the other.
+    pub fn split<T>(self, left: T, right: T) -> (T, T) {
+        match self {
+            BuildSide::Left => (left, right),
+            BuildSide::Right => (right, left),
+        }
+    }
 }
 
 impl PhysicalPlan {
@@ -265,12 +316,14 @@ impl PhysicalPlan {
                 right,
                 left_key,
                 right_key,
+                build,
                 residual,
             } => PhysicalPlan::HashJoin {
                 left: f(left),
                 right: f(right),
                 left_key,
                 right_key,
+                build,
                 residual,
             },
             PhysicalPlan::MergeJoin {
@@ -312,6 +365,7 @@ impl PhysicalPlan {
                 right,
                 left_key,
                 right_key,
+                build,
                 residual,
                 workers,
             } => PhysicalPlan::PartitionedJoin {
@@ -319,6 +373,7 @@ impl PhysicalPlan {
                 right: f(right),
                 left_key,
                 right_key,
+                build,
                 residual,
                 workers,
             },
@@ -336,6 +391,28 @@ impl PhysicalPlan {
         }
     }
 
+    /// The planner's estimate of this node's output rows: a scan's own
+    /// estimate (set by the planner from the chain index's key bounds and
+    /// `Table::row_count`), the smaller input's for a join, one row for an
+    /// aggregate without groups, at most `n` under a limit, and the input's
+    /// otherwise. It comes from untrusted statistics, so it only ever
+    /// chooses among verified plans.
+    pub fn est_rows(&self) -> f64 {
+        match self {
+            PhysicalPlan::TableScan { est_rows, .. } => *est_rows,
+            PhysicalPlan::IndexNlJoin { outer, inner, .. } => {
+                outer.est_rows().min(inner.row_count() as f64)
+            }
+            PhysicalPlan::Aggregate { group, .. } if group.is_empty() => 1.0,
+            PhysicalPlan::Limit { input, n } => input.est_rows().min(*n as f64),
+            _ => self
+                .inputs()
+                .map(PhysicalPlan::est_rows)
+                .reduce(f64::min)
+                .unwrap_or(0.0),
+        }
+    }
+
     /// A compact, indented rendering (EXPLAIN-style) for docs and tests.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -349,6 +426,7 @@ impl PhysicalPlan {
                 table,
                 access,
                 residual,
+                est_rows,
             } => {
                 let acc = match access {
                     AccessPath::Full => "SeqScan".to_string(),
@@ -357,19 +435,21 @@ impl PhysicalPlan {
                         format!("IndexSearch(chain {chain} = {key})")
                     }
                 };
-                let filtered = if residual.is_some() {
-                    " [filtered]"
-                } else {
-                    ""
-                };
-                format!("{acc} on {}{filtered}", table.name())
+                let filtered = if residual.is_some() { "filtered, " } else { "" };
+                format!(
+                    "{acc} on {} [{filtered}{} rows]",
+                    table.name(),
+                    approx(*est_rows)
+                )
             }
             PhysicalPlan::Filter { .. } => "Filter".to_string(),
             PhysicalPlan::Project { names, .. } => format!("Project [{}]", names.join(", ")),
             PhysicalPlan::IndexNlJoin { inner, .. } => {
                 format!("IndexNestedLoopJoin (inner: {})", inner.name())
             }
-            PhysicalPlan::HashJoin { .. } => "HashJoin".to_string(),
+            PhysicalPlan::HashJoin {
+                left, right, build, ..
+            } => format!("HashJoin [{}]", build_label(left, right, *build)),
             PhysicalPlan::MergeJoin { .. } => "MergeJoin".to_string(),
             PhysicalPlan::BlockNlJoin { .. } => "NestedLoopJoin".to_string(),
             PhysicalPlan::Aggregate { group, aggs, .. } => {
@@ -380,9 +460,16 @@ impl PhysicalPlan {
             PhysicalPlan::Distinct { .. } => "Distinct".to_string(),
             PhysicalPlan::Exchange { workers, .. } => format!("Exchange [{workers} workers]"),
             PhysicalPlan::Gather { .. } => "Gather".to_string(),
-            PhysicalPlan::PartitionedJoin { workers, .. } => {
-                format!("PartitionedHashJoin [{workers} workers]")
-            }
+            PhysicalPlan::PartitionedJoin {
+                left,
+                right,
+                build,
+                workers,
+                ..
+            } => format!(
+                "PartitionedHashJoin [{workers} workers, {}]",
+                build_label(left, right, *build)
+            ),
         };
         out.push_str(&"  ".repeat(depth));
         out.push_str(&label);
@@ -391,6 +478,30 @@ impl PhysicalPlan {
             input.explain_into(depth + 1, out);
         }
     }
+}
+
+/// A row estimate as EXPLAIN prints it: `~150`, `~32k`, `~1.2M`.
+fn approx(n: f64) -> String {
+    let n = n.round();
+    if n < 1e3 {
+        format!("~{n}")
+    } else if n < 1e6 {
+        format!("~{}k", (n / 1e3).round())
+    } else {
+        format!("~{:.1}M", n / 1e6)
+    }
+}
+
+/// A hash join's build input against its probe input, both estimated:
+/// `build left: ~150 vs ~32k rows`.
+fn build_label(left: &PhysicalPlan, right: &PhysicalPlan, build: BuildSide) -> String {
+    let (built, probed) = build.split(left, right);
+    let side = build.split("left", "right").0;
+    format!(
+        "build {side}: {} vs {} rows",
+        approx(built.est_rows()),
+        approx(probed.est_rows())
+    )
 }
 
 /// Rewrite `plan` for a `workers`-thread pool by inserting
@@ -444,6 +555,7 @@ pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
             right,
             left_key,
             right_key,
+            build,
             residual,
         } => {
             let side = |p: Box<PhysicalPlan>| {
@@ -458,6 +570,7 @@ pub(crate) fn parallelize(plan: PhysicalPlan, workers: usize) -> PhysicalPlan {
                 right: side(right),
                 left_key,
                 right_key,
+                build,
                 residual,
                 workers,
             }
@@ -704,13 +817,36 @@ pub fn plan_select(
     }
 
     // -- build scans with access paths ----------------------------------------
+    // A column an equi-join compares keeps its chain order when ranged: a
+    // merge join may rely on it.
+    let mut join_cols: Vec<Vec<usize>> = vec![Vec::new(); scope.tables.len()];
+    for c in &multi {
+        if let Expr::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } = c
+        {
+            if let (Expr::ColumnRef(a), Expr::ColumnRef(b)) = (left.as_ref(), right.as_ref()) {
+                for g in [*a, *b] {
+                    let ti = (0..scope.tables.len()).find(|&ti| {
+                        let (lo, hi) = table_range(ti);
+                        (lo..hi).contains(&g)
+                    });
+                    if let Some(ti) = ti {
+                        join_cols[ti].push(g - scope.tables[ti].offset);
+                    }
+                }
+            }
+        }
+    }
     let mut scans: Vec<PhysicalPlan> = Vec::new();
     for (ti, t) in scope.tables.iter().enumerate() {
         let local: Vec<Expr> = per_table[ti]
             .drain(..)
             .map(|e| map_refs(e, &|i| i - t.offset))
             .collect();
-        scans.push(build_scan(&t.table, local)?);
+        scans.push(build_scan(&t.table, local, &join_cols[ti])?);
     }
 
     // -- left-deep join tree in FROM order -------------------------------------
@@ -972,15 +1108,24 @@ fn rewrite_for_agg(
 
 /// Build the scan for one table from its pushed-down (table-local)
 /// conjuncts: extract bounds on chained columns, keep the rest as a
-/// residual filter.
-fn build_scan(table: &Arc<Table>, conjuncts: Vec<Expr>) -> Result<PhysicalPlan> {
+/// residual filter, and estimate the output rows. A range on a secondary
+/// chain estimated above [`FULL_SCAN_CROSSOVER`] of the table is read as a
+/// chain-0 scan instead, unless its column is in `ordered_cols` (compared
+/// by an equi-join, whose merge may rely on the chain's order).
+fn build_scan(
+    table: &Arc<Table>,
+    conjuncts: Vec<Expr>,
+    ordered_cols: &[usize],
+) -> Result<PhysicalPlan> {
     #[derive(Default, Clone)]
     struct ColBounds {
         lo: Option<(Value, bool)>, // (value, inclusive)
         hi: Option<(Value, bool)>,
         eq: Option<Value>,
     }
-    let mut bounds: HashMap<usize, ColBounds> = HashMap::new();
+    // Ordered by column, so ties between access paths, and the estimate's
+    // product, come out the same on every run.
+    let mut bounds: BTreeMap<usize, ColBounds> = BTreeMap::new();
     let mut residual: Vec<Expr> = Vec::new();
 
     let tighten_lo = |slot: &mut Option<(Value, bool)>, v: Value, inc: bool| {
@@ -1080,6 +1225,7 @@ fn build_scan(table: &Arc<Table>, conjuncts: Vec<Expr>) -> Result<PhysicalPlan> 
 
     // Pick the best access path: equality beats range; among ranges prefer
     // two-sided, then the primary chain.
+    let rows = table.row_count() as f64;
     let mut access = AccessPath::Full;
     let mut best_score = 0i32;
     for (&col, b) in &bounds {
@@ -1113,6 +1259,36 @@ fn build_scan(table: &Arc<Table>, conjuncts: Vec<Expr>) -> Result<PhysicalPlan> 
             };
         }
     }
+    // The access path's own estimate. Only a range consults statistics
+    // (the chain index's key bounds), so a point statement makes no index
+    // call here.
+    let mut est = match &access {
+        AccessPath::Full => rows,
+        AccessPath::Point { chain: 0, .. } => 1.0,
+        AccessPath::Point { .. } => rows * EQ_SELECTIVITY,
+        AccessPath::Range { chain, lo, hi } => match range_fraction(table, *chain, lo, hi) {
+            Some(f) => rows * f,
+            // No interpolation (a `Str` column, or an index that cannot
+            // say): the default selectivity per bound, which stays below
+            // the crossover, so the range keeps its chain walk.
+            None => [lo, hi]
+                .iter()
+                .filter(|b| !matches!(b, Bound::Unbounded))
+                .fold(rows, |e, _| e * OTHER_SELECTIVITY),
+        },
+    };
+    // A near-full secondary range reads faster in chain-0 order; the loop
+    // below re-applies its bounds as residuals, already counted in `est`.
+    let mut switched = None;
+    if let AccessPath::Range { chain, .. } = access {
+        let col = table.column_of_chain(chain);
+        if chain != 0 && !ordered_cols.contains(&col) && est > FULL_SCAN_CROSSOVER * rows {
+            switched = Some(col);
+            access = AccessPath::Full;
+        }
+    }
+    est = residual.iter().fold(est, |e, c| e * selectivity(c));
+
     // Bounds that were *not* chosen must be re-applied as residuals.
     for (&col, b) in &bounds {
         let covered = match &access {
@@ -1124,6 +1300,7 @@ fn build_scan(table: &Arc<Table>, conjuncts: Vec<Expr>) -> Result<PhysicalPlan> 
         if covered {
             continue;
         }
+        let first = residual.len();
         if let Some(eq) = &b.eq {
             residual.push(Expr::Binary {
                 op: BinOp::Eq,
@@ -1145,12 +1322,68 @@ fn build_scan(table: &Arc<Table>, conjuncts: Vec<Expr>) -> Result<PhysicalPlan> 
                 right: Box::new(Expr::Literal(v.clone())),
             });
         }
+        if switched != Some(col) {
+            est = residual[first..]
+                .iter()
+                .fold(est, |e, c| e * selectivity(c));
+        }
     }
 
     Ok(PhysicalPlan::TableScan {
         table: Arc::clone(table),
         access,
         residual: Expr::conjoin(residual),
+        est_rows: est,
+    })
+}
+
+/// System R's default selectivity of an equality the planner has no
+/// statistics for.
+const EQ_SELECTIVITY: f64 = 0.1;
+/// System R's default selectivity of any other predicate.
+const OTHER_SELECTIVITY: f64 = 1.0 / 3.0;
+
+/// The default selectivity of one residual conjunct.
+fn selectivity(c: &Expr) -> f64 {
+    match c {
+        Expr::Binary { op: BinOp::Eq, .. } => EQ_SELECTIVITY,
+        _ => OTHER_SELECTIVITY,
+    }
+}
+
+/// The fraction of `table`'s rows whose chain-`chain` column lies in
+/// `[lo, hi]`, by linear interpolation over the chain's first and last
+/// live values as its untrusted index reports them. `None` when the index
+/// cannot say or a value is not a number (`Int`, `Float` or `Date`).
+fn range_fraction(
+    table: &Table,
+    chain: usize,
+    lo: &Bound<Value>,
+    hi: &Bound<Value>,
+) -> Option<f64> {
+    let number = |v: &Value| {
+        let x = match v {
+            Value::Int(i) => *i as f64,
+            Value::Float(f) => *f,
+            Value::Date(d) => f64::from(*d),
+            Value::Null | Value::Str(_) => return None,
+        };
+        x.is_finite().then_some(x)
+    };
+    let (first, last) = table.chain_value_bounds(chain)?;
+    let (first, last) = (number(&first)?, number(&last)?);
+    let end = |b: &Bound<Value>| match b {
+        Bound::Unbounded => Some(None),
+        Bound::Included(v) | Bound::Excluded(v) => number(v).map(Some),
+    };
+    let lo = end(lo)?.map_or(first, |v| v.max(first));
+    let hi = end(hi)?.map_or(last, |v| v.min(last));
+    Some(if hi < lo {
+        0.0
+    } else if last > first {
+        (hi - lo) / (last - first)
+    } else {
+        1.0
     })
 }
 
@@ -1226,13 +1459,7 @@ fn build_join(
     }
 
     match prefer {
-        PreferredJoin::Hash => Ok(PhysicalPlan::HashJoin {
-            left: Box::new(left),
-            right: Box::new(right_scan),
-            left_key: lkey,
-            right_key: rkey_local,
-            residual,
-        }),
+        PreferredJoin::Hash => Ok(hash_join(left, right_scan, lkey, rkey_local, residual)),
         PreferredJoin::NestedLoop => {
             // The paper's Q19 "NestedLoopJoin and materialize the Select
             // result on inner loop": a block nested-loop over the
@@ -1298,14 +1525,32 @@ fn build_join(
                     residual,
                 });
             }
-            Ok(PhysicalPlan::HashJoin {
-                left: Box::new(left),
-                right: Box::new(right_scan),
-                left_key: lkey,
-                right_key: rkey_local,
-                residual,
-            })
+            Ok(hash_join(left, right_scan, lkey, rkey_local, residual))
         }
+    }
+}
+
+/// A hash join that builds on its smaller estimated input (the right one
+/// on a tie).
+fn hash_join(
+    left: PhysicalPlan,
+    right: PhysicalPlan,
+    left_key: usize,
+    right_key: usize,
+    residual: Option<Expr>,
+) -> PhysicalPlan {
+    let build = if left.est_rows() < right.est_rows() {
+        BuildSide::Left
+    } else {
+        BuildSide::Right
+    };
+    PhysicalPlan::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        left_key,
+        right_key,
+        build,
+        residual,
     }
 }
 
@@ -1328,5 +1573,5 @@ fn or_branches(e: Expr) -> Vec<Expr> {
 /// Expose the scan builder for planner unit tests.
 #[doc(hidden)]
 pub fn build_scan_for_test(table: &Arc<Table>, conjuncts: Vec<Expr>) -> Result<PhysicalPlan> {
-    build_scan(table, conjuncts)
+    build_scan(table, conjuncts, &[])
 }

@@ -145,6 +145,38 @@ fn between_pushes_both_bounds() {
 }
 
 #[test]
+fn near_full_secondary_ranges_read_in_chain_zero_order() {
+    let eng = setup();
+    // `ts` runs 1000..=1099, so `ts >= 1010` keeps ~90% of the rows: read
+    // in chain-0 order with the range as a residual.
+    let wide = "SELECT id FROM m WHERE ts >= 1010";
+    assert!(
+        plan(&eng, wide).contains("SeqScan on m [filtered, ~90 rows]"),
+        "{}",
+        plan(&eng, wide)
+    );
+    assert_eq!(ids(&eng, wide), (10..100).collect::<Vec<_>>());
+    // ~20% keeps the chain-1 walk.
+    let narrow = "SELECT id FROM m WHERE ts >= 1080";
+    assert!(plan(&eng, narrow).contains("RangeScan(chain 1) on m [~19 rows]"));
+    // Chain-0 ranges and equalities are never switched.
+    assert!(plan(&eng, "SELECT id FROM m WHERE id >= 5").contains("RangeScan(chain 0)"));
+    assert!(plan(&eng, "SELECT id FROM m WHERE grp = 3").contains("IndexSearch(chain 2 = 3)"));
+    // A range on a column an equi-join compares keeps its chain order.
+    eng.execute("CREATE TABLE n (id INT PRIMARY KEY, ts INT CHAINED)")
+        .unwrap();
+    eng.execute("INSERT INTO n VALUES (1, 1050), (2, 1060)")
+        .unwrap();
+    let join = "SELECT m.id FROM m, n WHERE m.ts = n.ts AND m.ts >= 1010";
+    assert!(
+        plan(&eng, join).contains("RangeScan(chain 1) on m"),
+        "{}",
+        plan(&eng, join)
+    );
+    assert_eq!(ids(&eng, join), vec![50, 60]);
+}
+
+#[test]
 fn order_by_position_and_name() {
     let eng = setup();
     let r = eng
@@ -180,7 +212,7 @@ fn duplicate_aliases_rejected() {
 #[test]
 fn map_inputs_with_identity_is_the_identity_on_every_variant() {
     use veridb_query::ast::{AggFunc, Expr};
-    use veridb_query::planner::{AccessPath, PhysicalPlan};
+    use veridb_query::planner::{AccessPath, BuildSide, PhysicalPlan};
     let eng = setup();
     let table = eng.catalog().table("m").unwrap();
     let scan = || {
@@ -188,6 +220,7 @@ fn map_inputs_with_identity_is_the_identity_on_every_variant() {
             table: Arc::clone(&table),
             access: AccessPath::Full,
             residual: Some(Expr::ColumnRef(1)),
+            est_rows: 100.0,
         })
     };
     let residual = || Some(Expr::Literal(Value::Int(1)));
@@ -214,6 +247,7 @@ fn map_inputs_with_identity_is_the_identity_on_every_variant() {
             right: scan(),
             left_key: 0,
             right_key: 1,
+            build: BuildSide::Left,
             residual: residual(),
         },
         PhysicalPlan::MergeJoin {
@@ -255,6 +289,7 @@ fn map_inputs_with_identity_is_the_identity_on_every_variant() {
             right: scan(),
             left_key: 0,
             right_key: 2,
+            build: BuildSide::Right,
             residual: residual(),
             workers: 4,
         },

@@ -1061,37 +1061,6 @@ fn aggregate_inside_between_and_in_list() {
     );
 }
 
-/// Forwards every oracle call to a shared [`MaliciousIndex`], so the test
-/// keeps the handle that arms it.
-struct Lying(Arc<veridb_storage::MaliciousIndex>);
-impl veridb_storage::IndexOracle for Lying {
-    fn find_floor(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
-        self.0.find_floor(k)
-    }
-    fn find_below(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
-        self.0.find_below(k)
-    }
-    fn find_exact(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
-        self.0.find_exact(k)
-    }
-    fn upsert(&self, k: veridb_storage::ChainKey, a: veridb_wrcm::CellAddr) {
-        self.0.upsert(k, a)
-    }
-    fn remove(&self, k: &veridb_storage::ChainKey) {
-        self.0.remove(k)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn next_entries(
-        &self,
-        from: &veridb_storage::ChainKey,
-        limit: usize,
-    ) -> Vec<(veridb_storage::ChainKey, veridb_wrcm::CellAddr)> {
-        self.0.next_entries(from, limit)
-    }
-}
-
 #[test]
 fn a_lying_index_cannot_answer_sql_with_another_tables_row() {
     use veridb_storage::index::IndexLie;
@@ -1108,7 +1077,7 @@ fn a_lying_index_cannot_answer_sql_with_another_tables_row() {
     let lying = |name: &str| {
         let mal = Arc::new(MaliciousIndex::new());
         eng.catalog()
-            .create_table_with_indexes(name, schema(), vec![Box::new(Lying(Arc::clone(&mal)))])
+            .create_table_with_indexes(name, schema(), vec![Box::new(Arc::clone(&mal))])
             .unwrap();
         mal
     };

@@ -82,8 +82,8 @@ impl Catalog {
     /// Drop a table. Its rows and then its chain sentinels are deleted
     /// through the verified path, so RS/WS stay balanced and no live cell
     /// of the table outlives it: a later seal's state fingerprint covers
-    /// exactly the tables a snapshot carries. The emptied pages remain
-    /// registered with the memory.
+    /// exactly the tables a snapshot carries. The emptied pages go back to
+    /// the memory's free list, so CREATE/DROP cycles do not grow it.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let lname = name.to_ascii_lowercase();
         let table = self

@@ -16,6 +16,7 @@ use crate::chain::ChainKey;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use veridb_common::sync::RwLock;
 use veridb_wrcm::CellAddr;
 
@@ -57,6 +58,52 @@ pub trait IndexOracle: Send + Sync {
     fn next_entries(&self, from: &ChainKey, limit: usize) -> Vec<(ChainKey, CellAddr)> {
         let _ = (from, limit);
         Vec::new()
+    }
+
+    /// Planning hint: the chain's first and last live keys, the `⊥`
+    /// sentinel excluded (`None` for an empty chain). Purely advisory —
+    /// the planner turns it into a row estimate that picks among verified
+    /// plans, so a lying or stale reply can only pick a slower plan, never
+    /// change an answer. The default returns nothing, which keeps the
+    /// planner's estimate-free rule.
+    fn key_bounds(&self) -> Option<(ChainKey, ChainKey)> {
+        None
+    }
+}
+
+/// A shared oracle answers as the one it shares, so a test can hand a
+/// table an `Arc<MaliciousIndex>` and keep a handle that arms it.
+impl<T: IndexOracle + ?Sized> IndexOracle for Arc<T> {
+    fn find_floor(&self, key: &ChainKey) -> Option<CellAddr> {
+        (**self).find_floor(key)
+    }
+
+    fn find_below(&self, key: &ChainKey) -> Option<CellAddr> {
+        (**self).find_below(key)
+    }
+
+    fn find_exact(&self, key: &ChainKey) -> Option<CellAddr> {
+        (**self).find_exact(key)
+    }
+
+    fn upsert(&self, key: ChainKey, addr: CellAddr) {
+        (**self).upsert(key, addr)
+    }
+
+    fn remove(&self, key: &ChainKey) {
+        (**self).remove(key)
+    }
+
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn next_entries(&self, from: &ChainKey, limit: usize) -> Vec<(ChainKey, CellAddr)> {
+        (**self).next_entries(from, limit)
+    }
+
+    fn key_bounds(&self) -> Option<(ChainKey, ChainKey)> {
+        (**self).key_bounds()
     }
 }
 
@@ -118,6 +165,14 @@ impl IndexOracle for ChainIndex {
         );
         out
     }
+
+    fn key_bounds(&self) -> Option<(ChainKey, ChainKey)> {
+        let map = self.map.read();
+        let mut live = map.range((Bound::Excluded(ChainKey::NegInf), Bound::Unbounded));
+        let first = live.next()?.0;
+        let last = live.next_back().map_or(first, |(k, _)| k);
+        Some((first.clone(), last.clone()))
+    }
 }
 
 /// Which lie a [`MaliciousIndex`] tells.
@@ -137,6 +192,8 @@ pub struct MaliciousIndex {
     inner: ChainIndex,
     lie: RwLock<Option<IndexLie>>,
     active: AtomicBool,
+    /// Key bounds reported in place of the true ones, once armed.
+    bounds_lie: RwLock<Option<(ChainKey, ChainKey)>>,
 }
 
 impl MaliciousIndex {
@@ -146,6 +203,7 @@ impl MaliciousIndex {
             inner: ChainIndex::new(),
             lie: RwLock::new(None),
             active: AtomicBool::new(false),
+            bounds_lie: RwLock::new(None),
         }
     }
 
@@ -155,9 +213,17 @@ impl MaliciousIndex {
         self.active.store(true, Ordering::Relaxed);
     }
 
-    /// Disarm; behave honestly again.
+    /// Report `(first, last)` as the chain's key bounds, whatever the
+    /// chain holds, until disarmed. This lie reaches only the planner's
+    /// row estimates.
+    pub fn lie_about_bounds(&self, first: ChainKey, last: ChainKey) {
+        *self.bounds_lie.write() = Some((first, last));
+    }
+
+    /// Disarm every lie; behave honestly again.
     pub fn disarm(&self) {
         self.active.store(false, Ordering::Relaxed);
+        *self.bounds_lie.write() = None;
     }
 }
 
@@ -240,6 +306,13 @@ impl IndexOracle for MaliciousIndex {
         }
         entries
     }
+
+    fn key_bounds(&self) -> Option<(ChainKey, ChainKey)> {
+        match &*self.bounds_lie.read() {
+            Some(lie) => Some(lie.clone()),
+            None => self.inner.key_bounds(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -298,7 +371,24 @@ mod tests {
         idx.arm(IndexLie::Undershoot);
         assert_eq!(idx.find_floor(&k(20)), Some(addr(1, 1)));
 
+        idx.lie_about_bounds(k(-5), k(500));
+        assert_eq!(idx.key_bounds(), Some((k(-5), k(500))));
+
         idx.disarm();
         assert_eq!(idx.find_exact(&k(10)), Some(addr(1, 1)));
+        assert_eq!(idx.key_bounds(), Some((k(10), k(20))));
+    }
+
+    #[test]
+    fn key_bounds_skip_the_sentinel() {
+        let idx = ChainIndex::new();
+        assert_eq!(idx.key_bounds(), None);
+        idx.upsert(ChainKey::NegInf, addr(1, 0));
+        assert_eq!(idx.key_bounds(), None, "a chain of only ⊥ has no live key");
+        idx.upsert(k(7), addr(1, 1));
+        assert_eq!(idx.key_bounds(), Some((k(7), k(7))));
+        idx.upsert(k(3), addr(1, 2));
+        idx.upsert(k(42), addr(1, 3));
+        assert_eq!(idx.key_bounds(), Some((k(3), k(42))));
     }
 }

@@ -138,6 +138,18 @@ impl Table {
         self.indexes[chain].as_ref()
     }
 
+    /// The first and last live values of chain `chain`'s column, as its
+    /// untrusted index reports them (`None` when the index cannot say or
+    /// the chain is empty). A planning hint only: nothing read through a
+    /// verified path depends on it.
+    pub fn chain_value_bounds(&self, chain: usize) -> Option<(Value, Value)> {
+        let (first, last) = self.indexes[chain].key_bounds()?;
+        Some((
+            first.as_val()?.head().clone(),
+            last.as_val()?.head().clone(),
+        ))
+    }
+
     /// Pages owned by the table (diagnostics / benches).
     pub fn page_ids(&self) -> Vec<u64> {
         self.pages.lock().clone()
@@ -377,9 +389,13 @@ impl Table {
     }
 
     /// Delete every row, then every chain sentinel, leaving no live cell
-    /// of the table (how a dropped table is cleared). A sentinel is found
-    /// through the untrusted index and deleted only once it is accepted as
-    /// this table's `⟨⊥, ⊤⟩` record of its chain, i.e. the chain is empty.
+    /// of the table (how a dropped table is cleared), then release the
+    /// emptied pages to the memory's free list for the next allocation to
+    /// reuse. A sentinel is found through the untrusted index and deleted
+    /// only once it is accepted as this table's `⟨⊥, ⊤⟩` record of its
+    /// chain, i.e. the chain is empty. A reused page is re-stamped with its
+    /// new owner, so a read that still names this table's owner there is
+    /// refused.
     pub(crate) fn delete_all(self: &Arc<Self>) -> Result<()> {
         let rows = self.seq_scan().collect_rows()?;
         let pk_col = self.schema.primary_key();
@@ -405,6 +421,9 @@ impl Table {
             }
             self.indexes[chain].remove(&ChainKey::NegInf);
             self.mem.delete(addr)?;
+        }
+        for page in std::mem::take(&mut *self.pages.lock()) {
+            self.mem.release_page(page)?;
         }
         Ok(())
     }
@@ -657,5 +676,89 @@ impl std::fmt::Debug for Table {
             .field("rows", &self.row_count())
             .field("chains", &self.chain_cols)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Catalog;
+    use veridb_common::{ColumnDef, ColumnType, VeriDbConfig};
+    use veridb_enclave::Enclave;
+
+    fn catalog() -> Catalog {
+        let enclave = Enclave::create("drop-test", 1 << 22, [9u8; 32]);
+        let mut cfg = VeriDbConfig::default();
+        cfg.verify_every_ops = None;
+        Catalog::new(VerifiedMemory::new(enclave, &cfg))
+    }
+
+    /// Two chains, so a drop deletes two sentinels.
+    fn schema() -> Schema {
+        Schema::new(vec![
+            ColumnDef::new("id", ColumnType::Int),
+            ColumnDef::chained("grp", ColumnType::Int),
+            ColumnDef::new("note", ColumnType::Str),
+        ])
+        .unwrap()
+    }
+
+    fn row(i: i64) -> Row {
+        Row::new(vec![
+            Value::Int(i),
+            Value::Int(i % 7),
+            Value::Str(format!("note {i}")),
+        ])
+    }
+
+    #[test]
+    fn create_insert_drop_cycles_reuse_the_dropped_pages() {
+        let c = catalog();
+        let mem = Arc::clone(c.memory());
+        let cycle = || {
+            let t = c.create_table("t", schema()).unwrap();
+            for i in 0..300 {
+                t.insert(row(i)).unwrap();
+            }
+            assert!(t.page_ids().len() > 1, "the table must span pages");
+            c.drop_table("t").unwrap();
+        };
+        cycle();
+        let pages = mem.page_count();
+        for _ in 1..20 {
+            cycle();
+        }
+        assert_eq!(
+            mem.page_count(),
+            pages,
+            "CREATE/DROP cycles grew the memory"
+        );
+        assert!(mem.metrics().get(Metric::PagesReused) > 0);
+        mem.verify_now().unwrap();
+    }
+
+    #[test]
+    fn a_read_naming_a_dropped_tables_owner_on_a_reused_page_is_refused() {
+        let c = catalog();
+        let mem = Arc::clone(c.memory());
+        let old = c.create_table("old", schema()).unwrap();
+        for i in 0..50 {
+            old.insert(row(i)).unwrap();
+        }
+        let (old_owner, old_pages) = (old.owner, old.page_ids());
+        c.drop_table("old").unwrap();
+
+        let new = c.create_table("new", schema()).unwrap();
+        let addr = new.insert(row(1)).unwrap();
+        assert!(
+            old_pages.contains(&addr.page),
+            "the new table reuses a freed page"
+        );
+        match mem.read_as(old_owner, addr) {
+            Err(Error::TamperDetected(_)) => {}
+            other => panic!("read as the dropped owner: {other:?}"),
+        }
+        assert_eq!(new.get_by_pk(&Value::Int(1)).unwrap(), Some(row(1)));
+        mem.verify_now().unwrap();
     }
 }

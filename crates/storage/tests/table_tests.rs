@@ -419,37 +419,6 @@ fn range_scan_omission_via_denying_index_is_detected() {
 
 // ---- records bound to their table -----------------------------------------
 
-/// A shareable handle on a [`MaliciousIndex`], forwarding every oracle
-/// call (the prefetch included) so a test keeps the arming handle.
-struct Lying(Arc<MaliciousIndex>);
-impl IndexOracle for Lying {
-    fn find_floor(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
-        self.0.find_floor(k)
-    }
-    fn find_below(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
-        self.0.find_below(k)
-    }
-    fn find_exact(&self, k: &veridb_storage::ChainKey) -> Option<veridb_wrcm::CellAddr> {
-        self.0.find_exact(k)
-    }
-    fn upsert(&self, k: veridb_storage::ChainKey, a: veridb_wrcm::CellAddr) {
-        self.0.upsert(k, a)
-    }
-    fn remove(&self, k: &veridb_storage::ChainKey) {
-        self.0.remove(k)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn next_entries(
-        &self,
-        from: &veridb_storage::ChainKey,
-        limit: usize,
-    ) -> Vec<(veridb_storage::ChainKey, veridb_wrcm::CellAddr)> {
-        self.0.next_entries(from, limit)
-    }
-}
-
 /// Figure 4's quote relation with `count` as a secondary chain.
 fn chained_quote_schema() -> Schema {
     Schema::new(vec![
@@ -472,7 +441,7 @@ fn chained_victim(mem: &Arc<VerifiedMemory>) -> (Arc<Table>, [Arc<MaliciousIndex
         "victim",
         chained_quote_schema(),
         mal.iter()
-            .map(|m| Box::new(Lying(Arc::clone(m))) as Box<dyn IndexOracle>)
+            .map(|m| Box::new(Arc::clone(m)) as Box<dyn IndexOracle>)
             .collect(),
     )
     .unwrap();

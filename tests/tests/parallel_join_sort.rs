@@ -143,3 +143,80 @@ fn skewed_range_results_match_serial_and_steals_reconcile() {
     );
     db.verify_now().unwrap();
 }
+
+/// Hash joins build on their smaller estimated input. Over random two- and
+/// three-table equi-joins where either input may be the smaller, with NULL
+/// and duplicate keys and a residual, the hash plan returns the forced
+/// block nested-loop plan's rows as a multiset, and the same bytes at 1
+/// and 8 workers. At 8 workers the joins run as partitioned joins, built
+/// on the left whenever the left input is the smaller.
+#[test]
+fn hash_join_build_side_matches_nested_loop_and_is_worker_invariant() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use veridb::{PreferredJoin, Row, Value};
+    use veridb_common::rng::check;
+    let queries = [
+        "SELECT * FROM a, b WHERE a_k = b_k AND a_v < b_v",
+        "SELECT * FROM b, a WHERE b_k = a_k",
+        "SELECT * FROM a, b, c WHERE a_k = b_k AND c_k = b_k AND a_v + c_v > 60",
+    ];
+    let hash = PlanOptions {
+        prefer_join: PreferredJoin::Hash,
+        workers: 0,
+    };
+    let nested = PlanOptions {
+        prefer_join: PreferredJoin::NestedLoop,
+        workers: 1,
+    };
+    let (left_builds, right_builds) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    check(12, |rng| {
+        let mut cfg = VeriDbConfig::default();
+        cfg.verify_every_ops = None;
+        cfg.workers = 1;
+        let db = VeriDb::open(cfg).unwrap();
+        // At most one table is large enough to split into several morsels.
+        let big = rng.gen_range(0usize..4);
+        for (ti, t) in ["a", "b", "c"].into_iter().enumerate() {
+            db.sql(&format!(
+                "CREATE TABLE {t} ({t}_id INT PRIMARY KEY, {t}_k INT, {t}_v INT)"
+            ))
+            .unwrap();
+            let table = db.table(t).unwrap();
+            let rows = if ti == big {
+                rng.gen_range(520usize..700)
+            } else {
+                rng.gen_range(0usize..40)
+            };
+            for id in 0..rows as i64 {
+                let k = if rng.gen_bool(0.15) {
+                    Value::Null
+                } else {
+                    Value::Int(rng.gen_range(0i64..8))
+                };
+                let v = Value::Int(rng.gen_range(0i64..100));
+                table.insert(Row::new(vec![Value::Int(id), k, v])).unwrap();
+            }
+        }
+        for sql in queries {
+            let plan = db.explain(sql, &hash).unwrap();
+            left_builds.fetch_add(plan.matches("build left").count(), Ordering::Relaxed);
+            right_builds.fetch_add(plan.matches("build right").count(), Ordering::Relaxed);
+            let serial = db.sql_with(sql, &hash).unwrap().rows;
+            let mut oracle = db.sql_with(sql, &nested).unwrap().rows;
+            let mut sorted = serial.clone();
+            sorted.sort();
+            oracle.sort();
+            assert_eq!(sorted, oracle, "{sql}\n{plan}");
+
+            db.set_workers(8);
+            let plan8 = db.explain(sql, &hash).unwrap();
+            let parallel = db.sql_with(sql, &hash).unwrap().rows;
+            db.set_workers(1);
+            assert!(plan8.contains("PartitionedHashJoin"), "{plan8}");
+            assert_eq!(parallel, serial, "{sql} at 8 workers\n{plan8}");
+        }
+        db.verify_now().unwrap();
+    });
+    assert!(left_builds.into_inner() > 0, "no case built on the left");
+    assert!(right_builds.into_inner() > 0, "no case built on the right");
+}

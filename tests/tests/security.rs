@@ -211,3 +211,145 @@ fn tpch_analytics_over_tampered_data_is_detected() {
     assert!(portal.submit(&q).unwrap_err().is_security_violation());
     let _ = honest;
 }
+
+// ---- planning from untrusted estimates -------------------------------------
+
+/// A database whose `lineitem` is TPC-H's (tiny), with both chain indexes
+/// lying on demand. The rows are copied from an honestly loaded database.
+fn lying_lineitem() -> (VeriDb, [Arc<veridb_storage::MaliciousIndex>; 2]) {
+    use veridb_storage::{IndexOracle, MaliciousIndex};
+    use veridb_workloads::tpch::{TpchConfig, TpchData};
+    let mut cfg = VeriDbConfig::default();
+    cfg.verify_every_ops = None;
+    let honest = VeriDb::open(cfg.clone()).unwrap();
+    TpchData::generate(&TpchConfig::tiny())
+        .load(&honest)
+        .unwrap();
+    let source = honest.table("lineitem").unwrap();
+
+    let db = VeriDb::open(cfg).unwrap();
+    let mal = [
+        Arc::new(MaliciousIndex::new()),
+        Arc::new(MaliciousIndex::new()),
+    ];
+    let t = db
+        .catalog()
+        .create_table_with_indexes(
+            "lineitem",
+            source.schema().clone(),
+            mal.iter()
+                .map(|m| Box::new(Arc::clone(m)) as Box<dyn IndexOracle>)
+                .collect(),
+        )
+        .unwrap();
+    for row in honest.sql("SELECT * FROM lineitem").unwrap().rows {
+        t.insert(row).unwrap();
+    }
+    (db, mal)
+}
+
+fn date_key(s: &str) -> veridb_storage::ChainKey {
+    veridb_storage::ChainKey::val(veridb::Value::parse_date(s).unwrap())
+}
+
+/// Same rows in the same order; floats within a relative 1e-9, because a
+/// sum follows its access path's order.
+fn assert_same_answer(got: &[veridb::Row], want: &[veridb::Row], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (g, w) in got.iter().zip(want) {
+        for (x, y) in g.values().iter().zip(w.values()) {
+            match (x, y) {
+                (veridb::Value::Float(a), veridb::Value::Float(b)) => {
+                    assert!(
+                        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+                        "{what}"
+                    )
+                }
+                _ => assert_eq!(x, y, "{what}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn lying_key_bounds_change_the_plan_never_the_answer() {
+    use veridb_workloads::tpch::{q1, q6};
+    let (db, mal) = lying_lineitem();
+    let plan = |sql| db.explain(sql, &veridb::PlanOptions::default()).unwrap();
+    let honest_q1 = db.sql(q1()).unwrap();
+    let honest_q6 = db.sql(q6()).unwrap();
+    assert!(
+        plan(q1()).contains("SeqScan on lineitem [filtered"),
+        "{}",
+        plan(q1())
+    );
+    assert!(
+        plan(q6()).contains("RangeScan(chain 1) on lineitem"),
+        "{}",
+        plan(q6())
+    );
+
+    // Bounds far wider than the data: Q1's 96% range looks narrow and is
+    // walked on chain 1.
+    mal[1].lie_about_bounds(date_key("1992-01-01"), date_key("2100-01-01"));
+    assert!(
+        plan(q1()).contains("RangeScan(chain 1) on lineitem"),
+        "{}",
+        plan(q1())
+    );
+    assert_same_answer(&db.sql(q1()).unwrap().rows, &honest_q1.rows, "Q1, wide lie");
+
+    // Bounds inside Q6's year: its 14% range looks full and is read in
+    // chain-0 order, and Q1 stays a chain-0 scan.
+    mal[1].lie_about_bounds(date_key("1994-02-01"), date_key("1994-03-01"));
+    assert!(
+        plan(q6()).contains("SeqScan on lineitem [filtered"),
+        "{}",
+        plan(q6())
+    );
+    assert!(
+        plan(q1()).contains("SeqScan on lineitem [filtered"),
+        "{}",
+        plan(q1())
+    );
+    assert_same_answer(
+        &db.sql(q6()).unwrap().rows,
+        &honest_q6.rows,
+        "Q6, narrow lie",
+    );
+    assert_same_answer(
+        &db.sql(q1()).unwrap().rows,
+        &honest_q1.rows,
+        "Q1, narrow lie",
+    );
+
+    mal[1].disarm();
+    db.verify_now().unwrap();
+}
+
+#[test]
+fn tamper_under_either_q1_plan_alarms() {
+    use veridb_storage::IndexOracle;
+    use veridb_workloads::tpch::q1;
+    for (lie, access) in [(false, "SeqScan"), (true, "RangeScan(chain 1)")] {
+        let (db, mal) = lying_lineitem();
+        if lie {
+            mal[1].lie_about_bounds(date_key("1992-01-01"), date_key("2100-01-01"));
+        }
+        let plan = db.explain(q1(), &veridb::PlanOptions::default()).unwrap();
+        assert!(plan.contains(&format!("{access} on lineitem")), "{plan}");
+        // A row inside Q1's range, so both plans read its cell.
+        let inside = db
+            .sql("SELECT l_id FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' LIMIT 1")
+            .unwrap();
+        let addr = mal[0]
+            .find_exact(&veridb_storage::ChainKey::val(inside.rows[0][0].clone()))
+            .unwrap();
+        tamper::overwrite_cell(db.memory(), addr, b"evil").unwrap();
+        match db.sql(q1()) {
+            Err(e) => assert!(e.is_security_violation(), "{access}: {e}"),
+            Ok(_) => panic!("{access}: Q1 over a tampered cell returned an answer"),
+        }
+        assert!(db.verify_now().is_err(), "{access}");
+    }
+}
